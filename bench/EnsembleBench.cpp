@@ -4,9 +4,11 @@
 // parameter sweep stepped as ONE packed population (one lowered compile,
 // one LUT build, one shard plan, contiguous vector blocks across member
 // boundaries) against the same N points run as N independent Simulators
-// (shared compile, but per-instance construction and a 1-cell scalar
-// stepping loop each). Timed regions include construction, because the
-// per-member setup cost is exactly what the ensemble amortizes.
+// (shared compile and shared default LUT tables — no table reads the
+// swept gNa, so setParam rebuilds none — but per-instance construction
+// and a 1-cell scalar stepping loop each). Timed regions include
+// construction, because the per-member setup cost is exactly what the
+// ensemble amortizes.
 //
 // LIMPET_BENCH_CELLS sets the member count (1 cell per member); the
 // NDJSON rows feed the same bench_compare.py gate as the figure benches.

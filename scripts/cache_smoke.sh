@@ -11,6 +11,8 @@
 #     emit-bytecode stage runs, the cache records a miss + store); the
 #     warm process must do zero codegen-stage work (disk_hit recorded, no
 #     emit-ir / opt / vectorize / emit-bytecode stage counters).
+#  4. A LIMPET_CACHE_DIR beneath a regular file: the run still succeeds
+#     and --stats counts the failed disk store (compile.cache.store_failed).
 #
 # Counter assertions are verified through --stats; on a telemetry-off
 # build (-DLIMPET_TELEMETRY=OFF) they are skipped and only the checksum
@@ -105,4 +107,19 @@ for stage in emit-ir emit-bytecode vectorize; do
 done
 grep -q 'warm:' "$WORK/warm.out" || fail "warm run recorded no warm compile"
 echo "cache_smoke: cold/warm disk cache OK (zero codegen on warm start)"
+
+# --- 4. a failed disk-tier store is counted ---------------------------------
+# The cache directory sits beneath a regular file, so the disk write
+# fails; the run still succeeds off the memory tier and --stats counts
+# the lost store.
+touch "$WORK/not-a-dir"
+LIMPET_CACHE_DIR="$WORK/not-a-dir/cache" \
+  "$LIMPETC" "$MODEL" "${RUN_FLAGS[@]}" --stats \
+  >"$WORK/nostore.out" 2>"$WORK/nostore.err" \
+  || fail "run with an unwritable cache dir failed"
+[ "$(checksum_of "$WORK/nostore.out")" = "$FRESH" ] \
+  || fail "run with an unwritable cache dir diverged"
+grep -q 'store_failed' "$WORK/nostore.out" \
+  || fail "failed disk-tier store was not counted"
+echo "cache_smoke: failed disk store counted OK"
 echo "cache_smoke: PASS"

@@ -214,6 +214,13 @@ else
   skip_job "bench-smoke" "no built micro_benchmarks found"
 fi
 
+# --- repository benchmark self-test -----------------------------------------
+if [ $FAST = 1 ]; then
+  skip_job "perfbench-selftest" "--fast"
+else
+  run_job "perfbench-selftest" python3 perfbench/run.py --self-test
+fi
+
 # --- clang-format -----------------------------------------------------------
 if have clang-format; then
   format_check() {

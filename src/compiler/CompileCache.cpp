@@ -108,9 +108,12 @@ void CompileCache::store(uint64_t Key, const Artifact &A) {
   std::string Path = diskPath(Key);
   if (!Path.empty()) {
     // Best effort: a read-only or missing directory must not fail the
-    // compile, it just loses the warm-start benefit.
+    // compile, it just loses the warm-start benefit — counted, so the
+    // lost benefit shows in --stats.
     if (writeArtifactFile(A, Path))
       telemetry::counter("compile.cache.store").add(1);
+    else
+      telemetry::counter("compile.cache.store_failed").add(1);
     if (uint64_t Budget = diskBudget())
       gcDiskTier(Budget);
   } else {

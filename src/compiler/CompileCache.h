@@ -57,7 +57,9 @@ public:
   std::optional<Artifact> lookup(uint64_t Key, bool *FromDisk = nullptr);
 
   /// Stores \p A under \p Key in the memory tier and (when configured)
-  /// the disk tier. Telemetry: compile.cache.store.
+  /// the disk tier. Telemetry: compile.cache.store, or
+  /// compile.cache.store_failed when the disk write fails (the memory
+  /// tier still holds the entry).
   void store(uint64_t Key, const Artifact &A);
 
   /// Drops every memory-tier entry (tests; disk entries are untouched).

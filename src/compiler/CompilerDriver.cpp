@@ -207,7 +207,7 @@ CompileResult CompilerDriver::compileSource(std::string_view Name,
     bool FromDisk = false;
     if (std::optional<Artifact> A =
             CompileCache::global().lookup(R.CacheKey, &FromDisk)) {
-      CompileResult Warm = assembleFromArtifact(*A, Name, Source);
+      CompileResult Warm = assembleFromArtifact(std::move(*A), Name, Source);
       if (Warm) {
         Warm.DiskHit = FromDisk;
         attachNativeTier(Warm);
@@ -332,7 +332,7 @@ CompileResult CompilerDriver::compileCold(std::string_view Name,
   return R;
 }
 
-CompileResult CompilerDriver::assembleFromArtifact(const Artifact &A,
+CompileResult CompilerDriver::assembleFromArtifact(Artifact A,
                                                    std::string_view Name,
                                                    std::string_view Source) {
   CompileResult R;
@@ -360,7 +360,7 @@ CompileResult CompilerDriver::assembleFromArtifact(const Artifact &A,
 
   // The AST stages still run on warm loads: the runtime needs ModelInfo
   // (initial state, parameter defaults) and the LUT plan expressions
-  // (rebuildLuts re-bakes tables on parameter changes). All codegen
+  // (the LUT builder re-bakes tables on parameter changes). All codegen
   // stages — emit-ir, opt, vectorize, emit-bytecode — are skipped; the
   // kernel's IR handles stay null.
   easyml::ModelInfo Info;
@@ -380,7 +380,7 @@ CompileResult CompilerDriver::assembleFromArtifact(const Artifact &A,
 
   std::string Error;
   std::optional<exec::CompiledModel> M = exec::CompiledModel::fromParts(
-      std::move(K), A.Program, A.Luts, Cfg, &Error);
+      std::move(K), std::move(A.Program), std::move(A.Luts), Cfg, &Error);
   if (!M) {
     R.Err = Status::error("artifact rejected: " + Error);
     return R;

@@ -164,7 +164,7 @@ private:
   CompileResult compileAuto(std::string_view Name, std::string_view Source);
   CompileResult compileCold(std::string_view Name, std::string_view Source);
   /// Warm path shared by cache hits and explicit artifact loads.
-  CompileResult assembleFromArtifact(const Artifact &A, std::string_view Name,
+  CompileResult assembleFromArtifact(Artifact A, std::string_view Name,
                                      std::string_view Source);
   /// Attaches the native kernel tier to a successful compile when the
   /// driver targets it; failures are recorded, never fatal.

@@ -3,7 +3,6 @@
 #include "exec/CompiledModel.h"
 
 #include "codegen/Vectorize.h"
-#include "easyml/ConstEval.h"
 #include "exec/BytecodeCompiler.h"
 #include "support/Casting.h"
 #include "support/Telemetry.h"
@@ -165,8 +164,18 @@ CompiledModel::fromParts(GeneratedKernel Kernel, BcProgram Program,
     return Fail("program parameter count does not match the model");
   if (Program.Body.empty() || Program.NumRegs == 0)
     return Fail("program has no compute body");
-  if (Luts && Luts->Tables.size() != Kernel.Program.Luts.Tables.size())
-    return Fail("LUT table count does not match the model's LUT plan");
+  const codegen::LutPlan &Plan = Kernel.Program.Luts;
+  if (Luts) {
+    if (Luts->Tables.size() != Plan.Tables.size())
+      return Fail("LUT table count does not match the model's LUT plan");
+    for (size_t I = 0; I != Plan.Tables.size(); ++I)
+      if (size_t(Luts->Tables[I].cols()) != Plan.Tables[I].Columns.size())
+        return Fail("LUT table " + std::to_string(I) +
+                    " column count does not match the model's LUT plan");
+  }
+  Expected<LutBuilder> Lowered = LutBuilder::lower(Plan, Info);
+  if (!Lowered)
+    return Fail(Lowered.status().message());
 
   CompiledModel M;
   M.Cfg = Cfg;
@@ -176,11 +185,13 @@ CompiledModel::fromParts(GeneratedKernel Kernel, BcProgram Program,
                 std::to_string(Cfg.Width));
   M.Kernel = std::move(Kernel);
   M.Program = std::move(Program);
+  M.Builder = std::move(*Lowered);
   if (Luts) {
-    M.Luts = std::move(*Luts);
+    M.Luts = std::make_shared<const runtime::LutTableSet>(std::move(*Luts));
   } else {
     std::vector<double> Params = M.defaultParams();
-    M.rebuildLuts(Params.data());
+    M.Luts =
+        std::make_shared<const runtime::LutTableSet>(M.buildLuts(Params.data()));
   }
   return M;
 }
@@ -219,43 +230,33 @@ std::vector<double> CompiledModel::defaultParams() const {
   return Params;
 }
 
-void CompiledModel::rebuildLuts(const double *Params) {
-  Luts = buildLuts(Params);
-}
-
 runtime::LutTableSet CompiledModel::buildLuts(const double *Params) const {
   telemetry::TraceSpan Span("lut-build", "compile");
   telemetry::ScopedTimerNs Timer("compile.lut.build.ns");
-  const easyml::ModelInfo &Info = Kernel.Program.Info;
-  runtime::LutTableSet Set;
-  for (const LutTablePlan &Plan : Kernel.Program.Luts.Tables) {
-    runtime::LutTable Table(Plan.Spec.Lo, Plan.Spec.Hi, Plan.Spec.Step,
-                            int(Plan.Columns.size()));
-    for (int Row = 0; Row != Table.rows(); ++Row) {
-      double X = Table.rowX(Row);
-      easyml::EvalEnv Env =
-          [&](std::string_view Name) -> std::optional<double> {
-        if (Name == Plan.Spec.VarName)
-          return X;
-        int Idx = Info.paramIndex(Name);
-        if (Idx >= 0)
-          return Params[Idx];
-        return std::nullopt;
-      };
-      for (size_t Col = 0; Col != Plan.Columns.size(); ++Col) {
-        auto V = easyml::evalExpr(*Plan.Columns[Col], Env);
-        assert(V && "LUT column expression references a non-table variable");
-        Table.at(Row, int(Col)) = *V;
-      }
-    }
-    Set.Tables.push_back(std::move(Table));
-  }
+  return Builder.build(Params);
+}
+
+std::shared_ptr<const runtime::LutTableSet>
+CompiledModel::derivedLuts(std::shared_ptr<const runtime::LutTableSet> Base,
+                           const double *BaseParams,
+                           const double *Params) const {
+  std::vector<size_t> Stale;
+  for (size_t T = 0; T != Builder.numTables(); ++T)
+    if (Builder.readsChanged(T, BaseParams, Params))
+      Stale.push_back(T);
+  if (Stale.empty())
+    return Base;
+  telemetry::TraceSpan Span("lut-build", "compile");
+  telemetry::ScopedTimerNs Timer("compile.lut.build.ns");
+  auto Set = std::make_shared<runtime::LutTableSet>(*Base);
+  for (size_t T : Stale)
+    Set->Tables[T] = Builder.buildTable(T, Params);
   return Set;
 }
 
 void CompiledModel::computeStep(KernelArgs Args) const {
   if (!Args.Luts)
-    Args.Luts = &Luts;
+    Args.Luts = Luts.get();
   if (Native) {
     Native->step(Program, Args);
     return;

@@ -15,6 +15,7 @@
 #include "exec/Backend.h"
 #include "exec/Bytecode.h"
 #include "exec/Engine.h"
+#include "exec/LutBuilder.h"
 #include "exec/NativeKernel.h"
 #include "runtime/Lut.h"
 #include "support/Status.h"
@@ -96,10 +97,12 @@ public:
 
   /// Assembles a runnable model from already-produced parts: a kernel
   /// (whose IR handles may be null on artifact loads), a bytecode program
-  /// and optionally pre-built LUT tables (rebuilt at default parameters
+  /// and optionally pre-built LUT tables (built at default parameters
   /// when absent). Validates cross-part consistency — layout, widths,
-  /// state/external/parameter counts — so a corrupt or mismatched
-  /// artifact is rejected with a recoverable error rather than executed.
+  /// state/external/parameter counts, table shapes, and that every LUT
+  /// column reads only its lookup variable and parameters — so a corrupt
+  /// or mismatched artifact is rejected with a recoverable error rather
+  /// than executed.
   static std::optional<CompiledModel>
   fromParts(codegen::GeneratedKernel Kernel, BcProgram Program,
             std::optional<runtime::LutTableSet> Luts, const EngineConfig &Cfg,
@@ -111,7 +114,15 @@ public:
   /// time (never null for a successfully compiled model).
   const Backend *backend() const { return Engine; }
   const BcProgram &program() const { return Program; }
-  const runtime::LutTableSet &luts() const { return Luts; }
+  /// The default-parameter tables.
+  const runtime::LutTableSet &luts() const { return *Luts; }
+  /// The same tables as an immutable shared set: every simulator running
+  /// at default parameters steps against this one copy.
+  const std::shared_ptr<const runtime::LutTableSet> &sharedLuts() const {
+    return Luts;
+  }
+  /// The lowered table fill (and per-table parameter dependencies).
+  const LutBuilder &lutBuilder() const { return Builder; }
   const codegen::GeneratedKernel &kernel() const { return Kernel; }
 
   /// Number of doubles the state array needs for \p NumCells (AoSoA pads
@@ -130,14 +141,17 @@ public:
   /// The default parameter vector.
   std::vector<double> defaultParams() const;
 
-  /// Rebuilds the internal LUT tables for a modified parameter vector
-  /// (tables bake parameter values in, as openCARP does at
-  /// initialization).
-  void rebuildLuts(const double *Params);
-
-  /// Builds a standalone LUT table set for \p Params (used by simulators
-  /// that adjust parameters without mutating the compiled model).
+  /// Builds a standalone LUT table set for \p Params (tables bake
+  /// parameter values in, as openCARP does at initialization).
   runtime::LutTableSet buildLuts(const double *Params) const;
+
+  /// The tables for \p Params, derived from \p Base (tables built at
+  /// \p BaseParams): only tables that read a parameter whose value
+  /// differs are refilled, the others are copied. Returns \p Base itself
+  /// when no table reads a changed parameter.
+  std::shared_ptr<const runtime::LutTableSet>
+  derivedLuts(std::shared_ptr<const runtime::LutTableSet> Base,
+              const double *BaseParams, const double *Params) const;
 
   /// Runs one compute step over [Args.Start, Args.End). When Args.Luts is
   /// null the model's internal tables are used. Dispatches to the native
@@ -171,7 +185,9 @@ private:
 
   codegen::GeneratedKernel Kernel;
   BcProgram Program;
-  runtime::LutTableSet Luts;
+  LutBuilder Builder;
+  /// Default-parameter tables; never null, immutable once built.
+  std::shared_ptr<const runtime::LutTableSet> Luts;
   EngineConfig Cfg;
   /// Resolved once at compile time; computeStep dispatches through it.
   const Backend *Engine = nullptr;

@@ -502,7 +502,7 @@ void EnsembleRunner::rerunMemberWindow(int64_t M, int64_t Window,
       Args.NumCells = Opts.NumCells;
       Args.Dt = SubDt;
       Args.T = MT;
-      Args.Luts = &SimLuts;
+      Args.Luts = SimLuts.get();
       Model.computeStep(Args);
       if (hasVoltageCoupling()) {
         // Same stimulus formula as voltageStage, at the member-local
@@ -618,7 +618,7 @@ void EnsembleRunner::recoverWindow(int64_t Window) {
 
   // Corrupted LUT tables poison every re-run identically; skip straight
   // to the scalar-exact rung, as the base ladder does.
-  bool TablesBroken = !SimLuts.allFinite();
+  bool TablesBroken = !SimLuts->allFinite();
 
   // Members are handled serially in ascending order: the ladder for one
   // member touches only its own slice (plus saved-and-restored block

@@ -2,6 +2,8 @@
 
 #include "sim/Multimodel.h"
 
+#include "support/Telemetry.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -17,7 +19,7 @@ MultimodelSimulator::MultimodelSimulator(const CompiledModel &Parent,
             std::max(Parent.config().Width, 1u)),
       ParentBuf(Parent, Opts.NumCells, &Sched) {
   ParentParams = Parent.defaultParams();
-  ParentLuts = Parent.buildLuts(ParentParams.data());
+  telemetry::counter("sim.lut.shared").add(1);
   VmIdx = Parent.info().externalIndex("Vm");
   IionIdx = Parent.info().externalIndex("Iion");
   rebuildStages();
@@ -64,7 +66,7 @@ size_t MultimodelSimulator::addPlugin(const CompiledModel &Plugin,
   }
 
   PluginParams.push_back(Plugin.defaultParams());
-  PluginLuts.push_back(Plugin.buildLuts(PluginParams.back().data()));
+  telemetry::counter("sim.lut.shared").add(1);
   Plugins.push_back(std::move(Inst));
   rebuildStages();
   return Plugins.size() - 1;
@@ -78,7 +80,7 @@ void MultimodelSimulator::rebuildStages() {
   ParentStage.State = ParentBuf.state();
   ParentStage.Exts = ParentBuf.extPointers();
   ParentStage.Params = ParentParams.data();
-  ParentStage.Luts = &ParentLuts;
+  ParentStage.Luts = &Parent.luts();
   Stages.push_back(std::move(ParentStage));
 
   for (size_t P = 0; P != Plugins.size(); ++P) {
@@ -95,7 +97,7 @@ void MultimodelSimulator::rebuildStages() {
       AnyWritable |= Inst.BoundParentSv[J] >= 0 && Inst.BoundWritable[J];
     }
     Stage.Params = PluginParams[P].data();
-    Stage.Luts = &PluginLuts[P];
+    Stage.Luts = &Inst.Model->luts();
     // The hooks capture the plugin index, not the instance: Plugins may
     // reallocate on a later addPlugin. Each hook only touches its shard's
     // cell range, so shards stay independent under threading.

@@ -90,7 +90,9 @@ private:
 
   /// Rewires Stages (parent + one stage per plugin, with gather/scatter
   /// hooks for parent-state bindings). Called after every addPlugin, so
-  /// pointers into PluginLuts/PluginParams are always current.
+  /// pointers into PluginParams are always current. Every model steps
+  /// against its own shared default tables (no parameter is ever changed
+  /// here).
   void rebuildStages();
 
   const exec::CompiledModel &Parent;
@@ -100,10 +102,8 @@ private:
   /// model steps against, keyed by the parent's external order.
   StateBuffer ParentBuf;
   std::vector<double> ParentParams;
-  runtime::LutTableSet ParentLuts;
   std::vector<PluginInstance> Plugins;
   std::vector<std::vector<double>> PluginParams;
-  std::vector<runtime::LutTableSet> PluginLuts;
   std::vector<KernelStage> Stages;
   int VmIdx = -1, IionIdx = -1;
   double T = 0;

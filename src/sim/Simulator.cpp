@@ -58,22 +58,24 @@ Simulator::Simulator(const CompiledModel &ModelIn, const SimOptions &OptsIn)
             std::max(Model.config().Width, 1u)),
       Buf(Model, Opts.NumCells, &Sched) {
   Params = Model.defaultParams();
-  SimLuts = Model.buildLuts(Params.data());
+  SimLuts = Model.sharedLuts();
+  telemetry::counter("sim.lut.shared").add(1);
   const easyml::ModelInfo &Info = Model.info();
   VmIdx = Info.externalIndex("Vm");
   IionIdx = Info.externalIndex("Iion");
   if (Opts.RecordTrace)
     Trace.reserve(size_t(Opts.NumSteps));
 
-  // The one compute stage of a single-population run. All pointers are
-  // stable for the simulator's lifetime (Buf restores snapshots in place,
-  // setParam writes Params in place).
+  // The one compute stage of a single-population run. The state and
+  // parameter pointers are stable for the simulator's lifetime (Buf
+  // restores snapshots in place, setParam writes Params in place); the
+  // table pointer follows setLuts.
   KernelStage Stage;
   Stage.Model = &Model;
   Stage.State = Buf.state();
   Stage.Exts = Buf.extPointers();
   Stage.Params = Params.data();
-  Stage.Luts = &SimLuts;
+  Stage.Luts = SimLuts.get();
   Stages.push_back(std::move(Stage));
 }
 
@@ -297,7 +299,7 @@ void Simulator::recoverWindow(int64_t Window) {
   // A corrupted lookup table cannot be healed by re-integration — every
   // retry would read the same poisoned rows — so skip the dt ladder and
   // go straight to the scalar-exact fallback.
-  bool TablesBroken = !SimLuts.allFinite();
+  bool TablesBroken = !SimLuts->allFinite();
 
   // Rung 1: roll back and re-integrate the window with halved dt
   // (exponential backoff: retry k runs at dt / 2^k).
@@ -558,9 +560,37 @@ Status Simulator::setParam(std::string_view Name, double Value) {
   if (!std::isfinite(Value))
     return Status::error("non-finite value for parameter '" +
                          std::string(Name) + "'");
+  std::vector<double> BuiltAt = Params;
   Params[size_t(Idx)] = Value;
-  SimLuts = Model.buildLuts(Params.data());
+  refreshLuts(BuiltAt);
   return Status::success();
+}
+
+void Simulator::setLuts(std::shared_ptr<const runtime::LutTableSet> L) {
+  SimLuts = std::move(L);
+  for (KernelStage &S : Stages)
+    S.Luts = SimLuts.get();
+}
+
+void Simulator::refreshLuts(const std::vector<double> &BuiltAt) {
+  if (DetachedLuts) {
+    // Detached tables may have been edited; derive from the model's clean
+    // defaults instead.
+    DetachedLuts.reset();
+    std::vector<double> Defaults = Model.defaultParams();
+    setLuts(Model.derivedLuts(Model.sharedLuts(), Defaults.data(),
+                              Params.data()));
+    return;
+  }
+  setLuts(Model.derivedLuts(SimLuts, BuiltAt.data(), Params.data()));
+}
+
+runtime::LutTableSet &Simulator::mutableLuts() {
+  if (!DetachedLuts) {
+    DetachedLuts = std::make_shared<runtime::LutTableSet>(*SimLuts);
+    setLuts(DetachedLuts);
+  }
+  return *DetachedLuts;
 }
 
 double Simulator::param(std::string_view Name) const {
@@ -670,8 +700,9 @@ Status Simulator::resumeFrom(const CheckpointData &C) {
     std::memcpy(Buf.ext(J), C.Exts[J].data(),
                 size_t(Opts.NumCells) * sizeof(double));
 
-  Params = C.Params;
-  SimLuts = Model.buildLuts(Params.data());
+  std::vector<double> BuiltAt = Params;
+  std::copy(C.Params.begin(), C.Params.end(), Params.begin());
+  refreshLuts(BuiltAt);
   T = C.T;
   StepCount = C.StepCount;
   RunStartStep = StepCount;

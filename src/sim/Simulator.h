@@ -197,9 +197,10 @@ public:
   /// The recorded Vm trace (one entry per step when RecordTrace is set).
   const std::vector<double> &trace() const { return Trace; }
 
-  /// Sets a parameter and rebuilds the LUT tables. Unknown names and
-  /// non-finite values are recoverable errors (the simulation state is
-  /// left untouched).
+  /// Sets a parameter and refills the LUT tables that read it (none when
+  /// no table column reads the parameter). Unknown names and non-finite
+  /// values are recoverable errors (the simulation state is left
+  /// untouched).
   Status setParam(std::string_view Name, double Value);
   /// Parameter value; NaN for unknown names (see tryParam).
   double param(std::string_view Name) const;
@@ -239,9 +240,16 @@ public:
   void pokeState(int64_t Cell, int64_t Sv, double Value);
   void pokeExternal(size_t ExtIdx, int64_t Cell, double Value);
 
+  /// The LUT tables this simulation steps against: the model's shared
+  /// default set until a parameter change or mutableLuts() gives it a
+  /// private one.
+  const runtime::LutTableSet &luts() const { return *SimLuts; }
+
   /// Mutable access to this simulation's LUT tables (fault injection:
-  /// corrupt rows to exercise the scalar-exact fallback).
-  runtime::LutTableSet &mutableLuts() { return SimLuts; }
+  /// corrupt rows to exercise the scalar-exact fallback). Detaches to a
+  /// private copy first, so the model's shared tables — and every other
+  /// simulator stepping against them — are never touched.
+  runtime::LutTableSet &mutableLuts();
 
   /// Callback invoked after every completed nominal step (including steps
   /// re-run during recovery): a persistent-fault injector for tests and
@@ -325,9 +333,20 @@ protected:
   void freezeCell(int64_t Cell);
   void restoreFrozenCells();
 
+  /// Swaps in a new table set and repoints every stage at it.
+  void setLuts(std::shared_ptr<const runtime::LutTableSet> L);
+  /// Brings SimLuts up to date with Params, given the parameter vector
+  /// \p BuiltAt the current tables were built for: refills only the
+  /// tables that read a changed parameter.
+  void refreshLuts(const std::vector<double> &BuiltAt);
+
   const exec::CompiledModel &Model;
-  /// Per-simulation LUT tables (rebuilt when parameters change).
-  runtime::LutTableSet SimLuts;
+  /// The tables the stages step against: the model's shared default set,
+  /// or a private set after a parameter change or mutableLuts().
+  std::shared_ptr<const runtime::LutTableSet> SimLuts;
+  /// Non-null once mutableLuts() detached a private, writable copy (the
+  /// same set as SimLuts); its contents no longer follow Params.
+  std::shared_ptr<runtime::LutTableSet> DetachedLuts;
   SimOptions Opts;
   /// The one stepping loop (persistent shard plan); constructed before
   /// Buf so the population can be first-touch initialized per shard.
@@ -336,7 +355,8 @@ protected:
   StateBuffer Buf;
   std::vector<double> Params;
   /// The single compute stage this driver runs each step (pointers into
-  /// Buf/Params/SimLuts, all stable for the simulator's lifetime).
+  /// Buf and Params, stable for the simulator's lifetime, and into the
+  /// current table set, which setLuts repoints on every swap).
   std::vector<KernelStage> Stages;
   int VmIdx = -1, IionIdx = -1;
   double T = 0;

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <unistd.h>
 
 using namespace limpet;
@@ -312,6 +313,40 @@ TEST(CompileCache, DiskTierWarmStartAndCorruptFallback) {
 
   resetCache();
   std::filesystem::remove_all(Dir);
+}
+
+TEST(CompileCacheTelemetry, FailedDiskStoreIsCounted) {
+  // LIMPET_CACHE_DIR beneath a regular file: the disk write must fail,
+  // be counted, and leave the memory tier serving the entry.
+  std::string File = ::testing::TempDir() + "limpet-cache-file-" +
+                     std::to_string(::getpid());
+  { std::ofstream(File) << "not a directory"; }
+  std::optional<std::string> Saved;
+  if (const char *Env = std::getenv("LIMPET_CACHE_DIR"))
+    Saved = Env;
+  ::setenv("LIMPET_CACHE_DIR", (File + "/cache").c_str(), 1);
+
+  CompileResult R = makeDriver(EngineConfig::baseline(), /*UseCache=*/false)
+                        .compileEntry(entry("HodgkinHuxley"));
+  ASSERT_TRUE(bool(R)) << R.Err.message();
+  Artifact A = CompilerDriver::makeArtifact(*R.Model, "HodgkinHuxley",
+                                            R.SourceHash);
+  auto Value = [](const char *Path) {
+    return telemetry::Registry::instance().value(Path);
+  };
+  uint64_t Failed0 = Value("compile.cache.store_failed");
+  uint64_t Stored0 = Value("compile.cache.store");
+  CompileCache Cache;
+  Cache.store(R.CacheKey, A);
+  EXPECT_EQ(Value("compile.cache.store_failed"), Failed0 + 1);
+  EXPECT_EQ(Value("compile.cache.store"), Stored0);
+  EXPECT_TRUE(Cache.lookup(R.CacheKey).has_value());
+
+  if (Saved)
+    ::setenv("LIMPET_CACHE_DIR", Saved->c_str(), 1);
+  else
+    ::unsetenv("LIMPET_CACHE_DIR");
+  std::filesystem::remove(File);
 }
 
 TEST(CompileSuite, ParallelResultsArePositional) {

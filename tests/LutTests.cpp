@@ -178,7 +178,8 @@ TEST(LutAnalysis, CheapExprsNotTabulated) {
 //===----------------------------------------------------------------------===//
 
 double runOneCellStep(const CompiledModel &M, double VmValue,
-                      const double *Params) {
+                      const double *Params,
+                      const LutTableSet *Luts = nullptr) {
   std::vector<double> State(M.stateArraySize(1));
   M.initializeState(State.data(), 1);
   std::vector<double> Ext = {VmValue, 0.0};
@@ -190,6 +191,7 @@ double runOneCellStep(const CompiledModel &M, double VmValue,
   Args.End = 1;
   Args.NumCells = 1;
   Args.Dt = 0.01;
+  Args.Luts = Luts;
   M.computeStep(Args);
   return M.readState(State.data(), 0, 0, 1);
 }
@@ -226,8 +228,8 @@ TEST(LutEndToEnd, ParamChangeRebuildsTables) {
   EXPECT_NEAR(W1, 0.01 * std::exp(10.0 / 20.0), 1e-6);
 
   double NewParams[] = {40.0};
-  M->rebuildLuts(NewParams);
-  double W2 = runOneCellStep(*M, 10.0, NewParams);
+  LutTableSet Rebuilt = M->buildLuts(NewParams);
+  double W2 = runOneCellStep(*M, 10.0, NewParams, &Rebuilt);
   EXPECT_NEAR(W2, 0.01 * std::exp(10.0 / 40.0), 1e-6);
 }
 
