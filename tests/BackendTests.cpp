@@ -6,6 +6,7 @@
 #include "exec/Engine.h"
 
 #include <gtest/gtest.h>
+#include <type_traits>
 
 using namespace limpet;
 using namespace limpet::codegen;
@@ -150,10 +151,15 @@ std::vector<double> stepOnce(const CompiledModel &M, int64_t Cells,
   return Out;
 }
 
+// gtest names each case by dumping the parameter's bytes, so the struct
+// carries no padding: indeterminate padding bytes made the test names
+// differ from one build to the next.
 struct DispatchCase {
   unsigned Width;
   StateLayout Layout;
+  uint8_t Zero[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<DispatchCase>);
 
 class BackendDispatch : public ::testing::TestWithParam<DispatchCase> {};
 
@@ -161,7 +167,8 @@ class BackendDispatch : public ::testing::TestWithParam<DispatchCase> {};
 /// bit-identical to stepping the aligned main and the ragged tail as
 /// separate chunks — i.e. the epilogue split changes nothing.
 TEST_P(BackendDispatch, RaggedRangeEqualsSplitChunks) {
-  auto [Width, Layout] = GetParam();
+  unsigned Width = GetParam().Width;
+  StateLayout Layout = GetParam().Layout;
   easyml::ModelInfo Info = testInfo();
   EngineConfig Cfg = EngineConfig::limpetMLIR(Width);
   Cfg.Layout = Layout;
@@ -181,7 +188,8 @@ TEST_P(BackendDispatch, RaggedRangeEqualsSplitChunks) {
 /// runKernel is a thin shim over the same backend the model resolved at
 /// compile time; both entry points must agree bit-for-bit.
 TEST_P(BackendDispatch, RunKernelShimMatchesCompiledModelStep) {
-  auto [Width, Layout] = GetParam();
+  unsigned Width = GetParam().Width;
+  StateLayout Layout = GetParam().Layout;
   easyml::ModelInfo Info = testInfo();
   EngineConfig Cfg = EngineConfig::limpetMLIR(Width);
   Cfg.Layout = Layout;

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <type_traits>
 
 using namespace limpet;
 using namespace limpet::codegen;
@@ -74,16 +75,22 @@ void expectClose(const std::vector<double> &A, const std::vector<double> &B,
         << What << " element " << I;
 }
 
+// gtest names each case by dumping the parameter's bytes, so the struct
+// carries no padding: indeterminate padding bytes made the test names
+// differ from one build to the next.
 struct WidthLayoutCase {
   unsigned Width;
   StateLayout Layout;
+  uint8_t Zero[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<WidthLayoutCase>);
 
 class EngineEquivalence
     : public ::testing::TestWithParam<WidthLayoutCase> {};
 
 TEST_P(EngineEquivalence, MatchesScalarBaseline) {
-  auto [Width, Layout] = GetParam();
+  unsigned Width = GetParam().Width;
+  StateLayout Layout = GetParam().Layout;
   easyml::ModelInfo Info = testInfo();
 
   auto Base = CompiledModel::compile(Info, EngineConfig::baseline());

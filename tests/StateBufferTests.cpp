@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <type_traits>
 
 using namespace limpet;
 using namespace limpet::codegen;
@@ -75,10 +76,17 @@ TEST(StateBuffer, InitializedToModelInits) {
                                         Buf.numCells(), Buf.blockWidth()))]));
 }
 
+// gtest names each case by dumping the parameter's bytes, so the struct
+// carries no padding: indeterminate padding bytes made the test names
+// differ from one build to the next.
 struct RepackCase {
+  RepackCase(StateLayout Layout, unsigned Width)
+      : Layout(Layout), Width(Width) {}
   StateLayout Layout;
+  uint8_t Zero[3] = {};
   unsigned Width;
 };
+static_assert(std::has_unique_object_representations_v<RepackCase>);
 
 class StateBufferRepack
     : public ::testing::TestWithParam<std::tuple<RepackCase, int64_t>> {};
