@@ -16,9 +16,13 @@
 #     job is mid-run; a restarted daemon replays it from its newest
 #     valid checkpoint and its final checksum is bit-identical to an
 #     uninterrupted run of the same spec.
-#  7. Graceful drain: the shutdown verb stops the daemon with exit 0.
+#  7. Cross-tool parity: limpetc --run builds its simulation through the
+#     daemon's job code, so a tissue spec and a sweep spec give limpetc
+#     the same state checksum the daemon finishes with.
+#  8. Graceful drain: the shutdown verb stops the daemon with exit 0.
 #
 # Usage: daemon_smoke.sh <path-to-limpetd> <path-to-limpetctl>
+# (step 7 runs the limpetc built next to limpetd)
 #
 #===----------------------------------------------------------------------===#
 
@@ -26,6 +30,7 @@ set -euo pipefail
 
 LIMPETD=${1:?usage: daemon_smoke.sh <path-to-limpetd> <path-to-limpetctl>}
 LIMPETCTL=${2:?usage: daemon_smoke.sh <path-to-limpetd> <path-to-limpetctl>}
+LIMPETC=$(dirname "$LIMPETD")/limpetc
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/limpet-daemon-smoke.XXXXXX")
 DPID=""
 cleanup() {
@@ -159,7 +164,28 @@ REPLAY_REF=$(checksum_of_event "$WORK/replay-ref.out")
   || fail "replayed job diverged: replayed=$REPLAYED ref=$REPLAY_REF"
 echo "daemon_smoke: SIGKILL -> restart -> replay bit-identical OK"
 
-# --- 7. graceful drain -------------------------------------------------------
+# --- 7. cross-tool parity ----------------------------------------------------
+# The same spec through both tools. Guard rails are on in both (limpetc's
+# --guard is the daemon's default); limpetc prints 9 significant digits,
+# so the daemon's %.17g checksum is compared at that precision.
+parity() {
+  local TAG=$1; shift
+  ctl submit --model $MODEL --steps 2000 "$@" --wait >"$WORK/$TAG-d.out" \
+    || fail "$TAG: daemon job did not finish (exit $?)"
+  local D
+  D=$(printf '%.9g' "$(checksum_of_event "$WORK/$TAG-d.out")")
+  "$LIMPETC" $MODEL --run --guard --steps 2000 "$@" >"$WORK/$TAG-c.out" 2>&1 \
+    || fail "$TAG: limpetc --run failed (see $WORK/$TAG-c.out)"
+  local C
+  C=$(grep 'state checksum' "$WORK/$TAG-c.out" | tail -1 | sed 's/.*= //')
+  [ -n "$C" ] && [ "$C" = "$D" ] \
+    || fail "$TAG: limpetc checksum '$C' != daemon checksum '$D'"
+  echo "daemon_smoke: $TAG parity OK (checksum $C)"
+}
+parity tissue --tissue 16x8
+parity sweep --sweep "gNa=90,130"
+
+# --- 8. graceful drain -------------------------------------------------------
 ctl shutdown >/dev/null || fail "shutdown verb failed"
 wait "$DPID" && RC=0 || RC=$?
 DPID=""

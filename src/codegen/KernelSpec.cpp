@@ -18,3 +18,11 @@ std::string_view codegen::stateLayoutName(StateLayout L) {
   }
   limpet_unreachable("invalid layout");
 }
+
+std::optional<StateLayout> codegen::stateLayoutFromName(std::string_view N) {
+  for (StateLayout L :
+       {StateLayout::AoS, StateLayout::SoA, StateLayout::AoSoA})
+    if (N == stateLayoutName(L))
+      return L;
+  return std::nullopt;
+}

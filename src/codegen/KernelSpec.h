@@ -10,7 +10,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace limpet {
 namespace codegen {
@@ -23,6 +25,8 @@ enum class StateLayout : uint8_t {
 };
 
 std::string_view stateLayoutName(StateLayout L);
+/// Inverse of stateLayoutName ("aos", "soa", "aosoa"); nullopt otherwise.
+std::optional<StateLayout> stateLayoutFromName(std::string_view Name);
 
 /// Flat element index of (cell, sv) for a given layout.
 ///   AoS:    cell*NumSv + Sv

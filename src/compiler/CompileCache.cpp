@@ -122,18 +122,8 @@ void CompileCache::store(uint64_t Key, const Artifact &A) {
 }
 
 uint64_t CompileCache::diskBudget() {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (BudgetOverride)
-      return *BudgetOverride;
-  }
   const char *Env = std::getenv("LIMPET_CACHE_MAX_BYTES");
   return Env ? std::strtoull(Env, nullptr, 10) : 0;
-}
-
-void CompileCache::setDiskBudget(std::optional<uint64_t> Budget) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  BudgetOverride = Budget;
 }
 
 CompileCache::GcStats CompileCache::gcDiskTier(uint64_t MaxBytes) {

@@ -81,13 +81,9 @@ public:
   /// tier is off).
   std::string diskPath(uint64_t Key);
 
-  /// The disk-tier byte budget: the explicit override when set, else the
-  /// LIMPET_CACHE_MAX_BYTES environment variable, else 0 (= unbounded).
+  /// The disk-tier byte budget: the LIMPET_CACHE_MAX_BYTES environment
+  /// variable, else 0 (= unbounded).
   uint64_t diskBudget();
-
-  /// Overrides the byte budget for this process (tests, --cache-gc);
-  /// nullopt returns control to the environment variable.
-  void setDiskBudget(std::optional<uint64_t> Budget);
 
   /// What one garbage-collection pass over the disk tier did.
   struct GcStats {
@@ -106,7 +102,6 @@ private:
   std::mutex Mu;
   std::unordered_map<uint64_t, std::string> Memory; ///< serialized bytes
   std::optional<std::string> DiskOverride;
-  std::optional<uint64_t> BudgetOverride;
 };
 
 } // namespace compiler

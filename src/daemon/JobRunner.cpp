@@ -2,18 +2,14 @@
 
 #include "daemon/JobRunner.h"
 
-#include "compiler/CompilerDriver.h"
+#include "compiler/Artifact.h"
+#include "compiler/KernelEmitter.h"
 #include "compiler/Serialize.h"
 #include "easyml/Sema.h"
 #include "models/Registry.h"
-#include "sim/Ensemble.h"
-#include "sim/Simulator.h"
-#include "sim/TissueSimulator.h"
 #include "support/Telemetry.h"
 
 #include <chrono>
-#include <memory>
-#include <optional>
 #include <thread>
 
 using namespace limpet;
@@ -98,38 +94,16 @@ JobState JobRunner::execute(Job &J) {
   compiler::CompileResult R = Driver.compileEntry(*Entry);
   if (!R)
     return fail(J, "compile failed: " + R.Err.message());
-  // The native tier degrades, never fails: a job asking for it on a box
-  // without a toolchain runs on the VM (bit-identical results), and the
-  // fallback is visible in telemetry rather than the job outcome.
-  if (J.Spec.Tier != exec::EngineTier::VM) {
-    telemetry::counter(R.NativeAttached ? "daemon.jobs.native"
-                                        : "daemon.jobs.native_fallback")
-        .add();
-  }
 
   std::string Dir = jobDir(J.Spec.Id);
-  std::string CkptDir = Dir + "/ckpt";
-  sim::CheckpointStore Store(CkptDir);
-  // Probe up front: an unwritable state directory is this job's clean
-  // failure, not a crash at its first checkpoint.
-  if (Status St = Store.prepare(); !St)
-    return fail(J, "checkpoint dir: " + St.message());
-
   sim::SimOptions Opts;
-  Opts.NumCells = J.Spec.NumCells;
-  Opts.NumSteps = J.Spec.NumSteps;
-  Opts.Dt = J.Spec.Dt;
   Opts.NumThreads = Cfg.SimThreads;
-  Opts.StimPeriod = 100.0;
-  Opts.Guard.Enabled = J.Spec.Guard;
-  Opts.Checkpoint.Dir = CkptDir;
-  // -1 = cadence unspecified: the daemon's default keeps jobs resumable
-  // without every client opting in; an explicit 0 means final-checkpoint
-  // only (the interrupt path still writes one).
-  Opts.Checkpoint.EveryN = J.Spec.CheckpointEveryN >= 0
-                               ? J.Spec.CheckpointEveryN
-                               : Cfg.DefaultCheckpointEvery;
-  Opts.Checkpoint.SourceHash = R.SourceHash;
+  Opts.Checkpoint.Dir = Dir + "/ckpt";
+  // The cadence of a spec that leaves it unspecified (-1): the daemon's
+  // default keeps jobs resumable without every client opting in; an
+  // explicit 0 means final-checkpoint only (the interrupt path still
+  // writes one).
+  Opts.Checkpoint.EveryN = Cfg.DefaultCheckpointEvery;
   Opts.Cancel = &J.Token;
   if (J.Spec.ProgressEvery > 0 && J.Ring) {
     Opts.ProgressEvery = J.Spec.ProgressEvery;
@@ -142,63 +116,35 @@ JobState JobRunner::execute(Job &J) {
     };
   }
 
-  // The ensemble model owns the lowered CompiledModel; declared before
-  // Sim so it outlives the runner built on it.
-  std::optional<sim::EnsembleModel> EMod;
-  sim::EnsembleRunner *EnsSim = nullptr;
-  std::unique_ptr<sim::Simulator> Sim;
-  if (J.Spec.TissueNX > 0) {
-    // Tissue job: the reaction-diffusion driver over the spec's grid.
-    // The journal carries the same fields, so a replayed job rebuilds an
-    // identical driver and its checkpoint's tissue section matches.
-    sim::TissueOptions TO;
-    TO.Grid = {J.Spec.TissueNX, J.Spec.TissueNY, J.Spec.TissueDx};
-    TO.Sigma = J.Spec.TissueSigma;
-    TO.Method = sim::DiffusionMethod(J.Spec.TissueMethod);
-    if (!J.Spec.TissueStim.empty()) {
-      Expected<sim::StimulusProtocol> P =
-          sim::StimulusProtocol::parse(J.Spec.TissueStim, TO.Grid);
-      if (!P)
-        return fail(J, "tissue stimulus: " + P.status().message());
-      TO.Stim = *P;
-    }
-    TO.Sim = Opts;
-    auto TS = std::make_unique<sim::TissueSimulator>(*R.Model, TO);
-    if (Status St = TS->preflight(); !St)
-      return fail(J, "tissue preflight: " + St.message());
+  // The journal carries every spec field, so a replayed job rebuilds an
+  // identical driver and its checkpoint's tissue/ensemble section
+  // matches. Admission already validated the sweep grammar; building
+  // re-parses it, which keeps replay safe against a hand-edited journal.
+  Expected<JobSimulation> Built =
+      buildJobSimulation(J.Spec, R, Entry->Source, Opts);
+  if (!Built)
+    return fail(J, Built.status().message());
+  sim::Simulator &S = *Built->Sim;
+  if (Built->Tissue)
     telemetry::counter("daemon.jobs.tissue").add();
-    Sim = std::move(TS);
-  } else if (!J.Spec.EnsembleSweep.empty()) {
-    // Ensemble job: one kernel for the whole sweep. Admission already
-    // validated the grammar; re-parsing here keeps journal replay safe
-    // against a hand-edited journal, and the model-specific checks
-    // (unknown parameter names) land in a structured Failed record.
-    Expected<sim::EnsembleSpec> ESpec = sim::EnsembleSpec::fromSweep(
-        J.Spec.EnsembleSweep, J.Spec.EnsembleCellsPer);
-    if (!ESpec)
-      return fail(J, "ensemble sweep: " + ESpec.status().message());
-    DiagnosticEngine Diags;
-    auto Info = easyml::compileModelInfo(Entry->Name, Entry->Source, Diags);
-    if (!Info)
-      return fail(J, "ensemble frontend: " + Diags.str());
-    Expected<sim::EnsembleModel> Built = sim::buildEnsembleModel(
-        *Info, std::move(*ESpec), R.Model->config());
-    if (!Built)
-      return fail(J, "ensemble: " + Built.status().message());
-    EMod.emplace(std::move(*Built));
-    auto ER = std::make_unique<sim::EnsembleRunner>(*EMod, Opts);
-    EnsSim = ER.get();
+  if (Built->Runner)
     telemetry::counter("daemon.jobs.ensemble").add();
-    Sim = std::move(ER);
-  } else {
-    Sim = std::make_unique<sim::Simulator>(*R.Model, Opts);
+  // The native tier degrades, never fails: a job asking for it on a box
+  // without a toolchain runs on the VM (bit-identical results), and the
+  // fallback is visible in telemetry rather than the job outcome. Counted
+  // on the kernel that steps: a sweep's lowered model, not the base one.
+  if (J.Spec.Tier != exec::EngineTier::VM) {
+    telemetry::counter(S.model().usingNativeTier()
+                           ? "daemon.jobs.native"
+                           : "daemon.jobs.native_fallback")
+        .add();
   }
-  sim::Simulator &S = *Sim;
 
   // Replay path: continue from the newest valid checkpoint. A job that
   // has none (killed before its first checkpoint) starts over — same
   // spec, same result.
   if (J.Replayed) {
+    sim::CheckpointStore Store(Opts.Checkpoint.Dir);
     if (Expected<sim::CheckpointData> C = Store.loadNewestValid()) {
       if (Status St = S.resumeFrom(*C); !St)
         telemetry::counter("daemon.jobs.resume_failed").add();
@@ -237,13 +183,104 @@ JobState JobRunner::execute(Job &J) {
   J.Checksum = S.stateChecksum();
   J.Degraded = S.report().CellsDegraded;
   J.Frozen = S.report().CellsFrozen;
-  if (EnsSim) {
+  if (const sim::EnsembleRunner *ER = Built->Runner) {
     // Partial-result delivery: the sweep finishes with every member
     // accounted for; quarantined members are reported, never fatal.
-    J.MembersOk = EnsSim->membersOk();
-    J.MembersQuarantined = EnsSim->membersQuarantined();
-    compiler::writeFileAtomic(EnsSim->memberStatsNdjson(),
+    J.MembersOk = ER->membersOk();
+    J.MembersQuarantined = ER->membersQuarantined();
+    compiler::writeFileAtomic(ER->memberStatsNdjson(),
                               Dir + "/members.ndjson");
   }
   return finish(J, JobState::Finished);
+}
+
+Expected<JobSimulation>
+daemon::buildJobSimulation(const JobSpec &Spec,
+                           const compiler::CompileResult &R,
+                           std::string_view Source, sim::SimOptions Opts,
+                           std::optional<sim::EnsembleSpec> Members) {
+  Opts.NumCells = Spec.NumCells;
+  Opts.NumSteps = Spec.NumSteps;
+  Opts.Dt = Spec.Dt;
+  Opts.StimPeriod = 100.0;
+  Opts.Guard.Enabled = Spec.Guard;
+  if (Spec.CheckpointEveryN >= 0)
+    Opts.Checkpoint.EveryN = Spec.CheckpointEveryN;
+  Opts.Checkpoint.SourceHash = R.SourceHash;
+  if (!Opts.Checkpoint.Dir.empty()) {
+    // Probe up front: an unwritable directory is one clear failure before
+    // the run, not a crash at its first checkpoint.
+    sim::CheckpointStore Store(Opts.Checkpoint.Dir, Opts.Checkpoint.Retain);
+    if (Status St = Store.prepare(); !St)
+      return Status::error("checkpoint dir: " + St.message());
+  }
+
+  JobSimulation JS;
+  if (Spec.TissueNX > 0) {
+    if (Members)
+      return Status::error("an ensemble cannot combine with a tissue grid");
+    // Reaction-diffusion over the spec's grid; its node count replaces
+    // NumCells.
+    sim::TissueOptions TO;
+    TO.Grid = {Spec.TissueNX, Spec.TissueNY, Spec.TissueDx};
+    TO.Sigma = Spec.TissueSigma;
+    TO.Method = sim::DiffusionMethod(Spec.TissueMethod);
+    if (!Spec.TissueStim.empty()) {
+      Expected<sim::StimulusProtocol> P =
+          sim::StimulusProtocol::parse(Spec.TissueStim, TO.Grid);
+      if (!P)
+        return Status::error("tissue stimulus: " + P.status().message());
+      TO.Stim = *P;
+    }
+    TO.Sim = Opts;
+    auto TS = std::make_unique<sim::TissueSimulator>(*R.Model, TO);
+    if (Status St = TS->preflight(); !St)
+      return Status::error("tissue preflight: " + St.message());
+    JS.Tissue = TS.get();
+    JS.Sim = std::move(TS);
+    return JS;
+  }
+
+  if (!Members && !Spec.EnsembleSweep.empty()) {
+    Expected<sim::EnsembleSpec> E = sim::EnsembleSpec::fromSweep(
+        Spec.EnsembleSweep, Spec.EnsembleCellsPer);
+    if (!E)
+      return E.status();
+    Members = std::move(*E);
+  }
+  if (!Members) {
+    JS.Sim = std::make_unique<sim::Simulator>(*R.Model, Opts);
+    return JS;
+  }
+
+  // One kernel for the whole sweep: the swept parameters lower to
+  // per-cell externals and the lowered model compiles once under the
+  // configuration the driver already resolved (so width "auto" applies
+  // to the whole population). Unknown parameter names fail here.
+  DiagnosticEngine Diags;
+  auto Info = easyml::compileModelInfo(R.ModelName, Source, Diags);
+  if (!Info)
+    return Status::error("ensemble frontend: " + Diags.str());
+  Expected<sim::EnsembleModel> EM =
+      sim::buildEnsembleModel(*Info, std::move(*Members), R.Model->config());
+  if (!EM)
+    return Status::error("ensemble: " + EM.status().message());
+  JS.Ensemble = std::make_unique<sim::EnsembleModel>(std::move(*EM));
+  if (Spec.Tier != exec::EngineTier::VM) {
+    // The base model's cached .so must never serve the lowered program,
+    // so the key extends the base compile key with the lowering.
+    uint64_t Key = compiler::fnv1a64("ensemble", R.CacheKey);
+    for (const std::string &P : JS.Ensemble->Swept)
+      Key = compiler::fnv1a64(P, Key);
+    compiler::NativeAttachResult N = compiler::getOrEmitNativeKernel(
+        *JS.Ensemble->Model, Key, R.ModelName + "_ensemble");
+    if (N)
+      JS.Ensemble->Model->attachNative(std::move(N.Kernel));
+    else
+      JS.NativeErr = N.Err;
+  }
+  auto ER = std::make_unique<sim::EnsembleRunner>(*JS.Ensemble, Opts);
+  JS.Runner = ER.get();
+  JS.Sim = std::move(ER);
+  return JS;
 }

@@ -2,9 +2,10 @@
 //
 // Executes a single accepted job end to end: resolve the model, compile
 // it through the CompilerDriver (content-addressed cache, so repeat jobs
-// skip codegen), probe and prepare the job's checkpoint directory, run
-// the Simulator with the job's cancel token and progress stream, and map
-// the outcome to a terminal JobState with its journal record, NDJSON
+// skip codegen), probe and prepare the job's checkpoint directory, build
+// the simulation through buildJobSimulation (the run path limpetc --run
+// shares), run it with the job's cancel token and progress stream, and
+// map the outcome to a terminal JobState with its journal record, NDJSON
 // event, and on-disk result file.
 //
 // Fault isolation is the point: every failure mode — unknown model,
@@ -23,13 +24,44 @@
 #ifndef LIMPET_DAEMON_JOBRUNNER_H
 #define LIMPET_DAEMON_JOBRUNNER_H
 
+#include "compiler/CompilerDriver.h"
 #include "daemon/JobQueue.h"
 #include "daemon/Journal.h"
+#include "sim/Ensemble.h"
+#include "sim/TissueSimulator.h"
 
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace limpet {
 namespace daemon {
+
+/// A simulation built from a JobSpec. The lowered sweep model sits on
+/// the heap (its address survives moves of this owner) and is declared
+/// before Sim, so it outlives the EnsembleRunner that references it.
+struct JobSimulation {
+  std::unique_ptr<sim::EnsembleModel> Ensemble; ///< sweeps only
+  std::unique_ptr<sim::Simulator> Sim;
+  sim::TissueSimulator *Tissue = nullptr; ///< Sim, for a tissue spec
+  sim::EnsembleRunner *Runner = nullptr;  ///< Sim, for a sweep
+  /// Why a sweep asking for a native tier steps on the VM; ok otherwise.
+  Status NativeErr;
+};
+
+/// The one path from a JobSpec to a runnable simulation, shared by
+/// JobRunner::execute and `limpetc --run`. The spec's protocol fields are
+/// written over \p Opts, which carries what a spec does not say (threads,
+/// checkpoint directory, the cadence a spec of -1 takes, cancel token,
+/// progress hook). A tissue spec gets a preflighted TissueSimulator; a
+/// sweep (Spec.EnsembleSweep, or the explicit \p Members list) lowers R's
+/// model from \p Source once under R's config and, off the VM tier,
+/// attaches the lowered kernel's native twin; anything else a Simulator.
+Expected<JobSimulation>
+buildJobSimulation(const JobSpec &Spec, const compiler::CompileResult &R,
+                   std::string_view Source, sim::SimOptions Opts,
+                   std::optional<sim::EnsembleSpec> Members = std::nullopt);
 
 class JobRunner {
 public:

@@ -29,8 +29,22 @@ double JsonValue::numberOr(std::string_view Key, double Default) const {
 }
 
 int64_t JsonValue::intOr(std::string_view Key, int64_t Default) const {
+  return intField(Key, Default, INT64_MIN, INT64_MAX).valueOr(Default);
+}
+
+Expected<int64_t> JsonValue::intField(std::string_view Key, int64_t Default,
+                                      int64_t Lo, int64_t Hi) const {
   const JsonValue *V = find(Key);
-  return V && V->isNumber() ? int64_t(V->asNumber()) : Default;
+  if (!V)
+    return Default;
+  // Only an integral double in int64_t's range converts without undefined
+  // behaviour (NaN, +-Inf and 1e19 do not).
+  double D = V->isNumber() ? V->Num : 0.5;
+  if (D == std::trunc(D) && D >= -0x1p63 && D < 0x1p63 &&
+      int64_t(D) >= Lo && int64_t(D) <= Hi)
+    return int64_t(D);
+  return Status::error("'" + std::string(Key) + "' must be an integer in [" +
+                       std::to_string(Lo) + ", " + std::to_string(Hi) + "]");
 }
 
 bool JsonValue::boolOr(std::string_view Key, bool Default) const {

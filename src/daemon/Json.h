@@ -84,10 +84,16 @@ public:
   /// Object member lookup; null for non-objects and absent keys.
   const JsonValue *find(std::string_view Key) const;
 
-  // Typed member access with defaults — the shape every protocol field
-  // read takes: absent key or wrong type yields the default.
+  // Typed member access with defaults: absent key or wrong type yields
+  // the default. intOr also defaults on a number that is not an integer
+  // an int64_t can hold, so no input reaches an undefined cast.
   double numberOr(std::string_view Key, double Default) const;
   int64_t intOr(std::string_view Key, int64_t Default) const;
+  /// The checked integer read protocol fields take: \p Default when the
+  /// key is absent, a recoverable error when the member is not an
+  /// integral number within [Lo, Hi] (1e19, 1e400, 2.5, "7").
+  Expected<int64_t> intField(std::string_view Key, int64_t Default,
+                             int64_t Lo, int64_t Hi) const;
   bool boolOr(std::string_view Key, bool Default) const;
   std::string stringOr(std::string_view Key, std::string_view Default) const;
 

@@ -7,7 +7,10 @@
 #include "sim/Ensemble.h"
 #include "sim/Stimulus.h"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <type_traits>
 
 using namespace limpet;
 using namespace limpet::daemon;
@@ -59,7 +62,10 @@ static Status parseConfig(const JsonValue &Body, exec::EngineConfig &Cfg) {
         return Status::error("'width' must be a number or \"auto\"");
       WidthAuto = true;
     } else {
-      W = unsigned(C->intOr("width", 0));
+      Expected<int64_t> WI = C->intField("width", 0, 0, 1024);
+      if (!WI)
+        return WI.status();
+      W = unsigned(*WI);
     }
   }
   if (Preset == "baseline")
@@ -80,15 +86,11 @@ static Status parseConfig(const JsonValue &Body, exec::EngineConfig &Cfg) {
   if (const JsonValue *L = C->find("layout")) {
     if (!L->isString())
       return Status::error("'layout' must be a string");
-    const std::string &Name = L->asString();
-    if (Name == "aos")
-      Cfg.Layout = codegen::StateLayout::AoS;
-    else if (Name == "soa")
-      Cfg.Layout = codegen::StateLayout::SoA;
-    else if (Name == "aosoa")
-      Cfg.Layout = codegen::StateLayout::AoSoA;
-    else
-      return Status::error("unknown layout '" + Name + "'");
+    std::optional<codegen::StateLayout> Layout =
+        codegen::stateLayoutFromName(L->asString());
+    if (!Layout)
+      return Status::error("unknown layout '" + L->asString() + "'");
+    Cfg.Layout = *Layout;
   }
   Cfg.FastMath = C->boolOr("fastmath", Cfg.FastMath);
   Cfg.EnableLuts = C->boolOr("luts", Cfg.EnableLuts);
@@ -101,40 +103,41 @@ Expected<JobSpec> daemon::parseJobSpec(const JsonValue &Body) {
   if (!Body.isObject())
     return Status::error("job spec must be a JSON object");
   JobSpec Spec;
-  Spec.Id = uint64_t(Body.numberOr("id", 0));
-  Spec.Tenant = Body.stringOr("tenant", "default");
-  if (Spec.Tenant.empty())
-    return Status::error("'tenant' must be non-empty");
-  Spec.Priority = int(Body.intOr("priority", 0));
+  // Integer fields go through the checked read: a number no integer type
+  // holds is an error here, never an undefined cast. Value rules (signs,
+  // cross-field constraints) are validateJobSpec's.
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  Status Err;
+  auto readInt = [&](const char *Key, auto &Field, int64_t Lo, int64_t Hi) {
+    Expected<int64_t> V = Body.intField(Key, int64_t(Field), Lo, Hi);
+    if (!V && Err.isOk())
+      Err = V.status();
+    Field = std::remove_reference_t<decltype(Field)>(V.valueOr(0));
+  };
+  readInt("id", Spec.Id, 0, Max);
+  readInt("priority", Spec.Priority, std::numeric_limits<int>::min(),
+          std::numeric_limits<int>::max());
+  readInt("cells", Spec.NumCells, Min, Max);
+  readInt("steps", Spec.NumSteps, Min, Max);
+  readInt("checkpoint_every", Spec.CheckpointEveryN, Min, Max);
+  readInt("progress_every", Spec.ProgressEvery, Min, Max);
+  readInt("tissue_nx", Spec.TissueNX, Min, Max);
+  readInt("tissue_ny", Spec.TissueNY, Min, Max);
+  readInt("ensemble_cells_per", Spec.EnsembleCellsPer, Min, Max);
+  if (!Err)
+    return Err;
+  Spec.Tenant = Body.stringOr("tenant", Spec.Tenant);
   Spec.Model = Body.stringOr("model", "");
-  if (Spec.Model.empty())
-    return Status::error("'model' is required");
-  Spec.NumCells = Body.intOr("cells", Spec.NumCells);
-  Spec.NumSteps = Body.intOr("steps", Spec.NumSteps);
   Spec.Dt = Body.numberOr("dt", Spec.Dt);
-  if (Spec.NumCells <= 0 || Spec.NumSteps <= 0)
-    return Status::error("'cells' and 'steps' must be positive");
-  if (!(Spec.Dt > 0))
-    return Status::error("'dt' must be positive");
   Spec.Guard = Body.boolOr("guard", Spec.Guard);
   Spec.Autotune = Body.boolOr("autotune", Spec.Autotune);
   Spec.TimeoutSec = Body.numberOr("timeout_sec", 0);
-  if (Spec.TimeoutSec < 0)
-    return Status::error("'timeout_sec' must be non-negative");
-  Spec.CheckpointEveryN = Body.intOr("checkpoint_every", -1);
+  // Any cadence below -1 means "unspecified", like an omitted field.
   if (Spec.CheckpointEveryN < -1)
     Spec.CheckpointEveryN = -1;
-  Spec.ProgressEvery = Body.intOr("progress_every", 0);
-  Spec.TissueNX = Body.intOr("tissue_nx", 0);
-  Spec.TissueNY = Body.intOr("tissue_ny", 1);
-  if (Spec.TissueNX < 0 || Spec.TissueNY < 1)
-    return Status::error("'tissue_nx' must be >= 0, 'tissue_ny' >= 1");
   Spec.TissueDx = Body.numberOr("tissue_dx", Spec.TissueDx);
   Spec.TissueSigma = Body.numberOr("tissue_sigma", Spec.TissueSigma);
-  if (!(Spec.TissueDx > 0))
-    return Status::error("'tissue_dx' must be positive");
-  if (Spec.TissueSigma < 0)
-    return Status::error("'tissue_sigma' must be non-negative");
   if (const JsonValue *DM = Body.find("tissue_method")) {
     if (!DM->isString())
       return Status::error("'tissue_method' must be a string");
@@ -145,6 +148,46 @@ Expected<JobSpec> daemon::parseJobSpec(const JsonValue &Body) {
     Spec.TissueMethod = uint8_t(*D);
   }
   Spec.TissueStim = Body.stringOr("tissue_stim", "");
+  Spec.EnsembleSweep = Body.stringOr("ensemble_sweep", "");
+  if (const JsonValue *E = Body.find("engine")) {
+    if (!E->isString())
+      return Status::error("'engine' must be a string");
+    std::optional<exec::EngineTier> T =
+        exec::engineTierFromName(E->asString());
+    if (!T)
+      return Status::error("unknown engine '" + E->asString() +
+                           "' (vm, native, auto)");
+    Spec.Tier = *T;
+  }
+  if (Status S = parseConfig(Body, Spec.Config); !S)
+    return S;
+  if (Status S = validateJobSpec(Spec); !S)
+    return S;
+  return Spec;
+}
+
+Status daemon::validateJobSpec(const JobSpec &Spec) {
+  if (Spec.Tenant.empty())
+    return Status::error("'tenant' must be non-empty");
+  if (Spec.Model.empty())
+    return Status::error("'model' is required");
+  if (Spec.NumCells <= 0 || Spec.NumSteps <= 0)
+    return Status::error("'cells' and 'steps' must be positive");
+  if (!(Spec.Dt > 0) || !std::isfinite(Spec.Dt))
+    return Status::error("'dt' must be positive");
+  if (!(Spec.TimeoutSec >= 0) || !std::isfinite(Spec.TimeoutSec))
+    return Status::error("'timeout_sec' must be non-negative");
+  if (Spec.CheckpointEveryN < -1)
+    return Status::error("'checkpoint_every' must be >= -1");
+  if (Spec.TissueNX < 0 || Spec.TissueNY < 1)
+    return Status::error("'tissue_nx' must be >= 0, 'tissue_ny' >= 1");
+  int64_t Nodes = 0;
+  if (__builtin_mul_overflow(Spec.TissueNX, Spec.TissueNY, &Nodes))
+    return Status::error("'tissue_nx' x 'tissue_ny' overflows");
+  if (!(Spec.TissueDx > 0) || !std::isfinite(Spec.TissueDx))
+    return Status::error("'tissue_dx' must be positive");
+  if (!(Spec.TissueSigma >= 0) || !std::isfinite(Spec.TissueSigma))
+    return Status::error("'tissue_sigma' must be non-negative");
   if (!Spec.TissueStim.empty()) {
     // Reject a malformed protocol at submit time, not when the job runs.
     sim::TissueGrid G{Spec.TissueNX > 0 ? Spec.TissueNX : 1, Spec.TissueNY,
@@ -154,8 +197,6 @@ Expected<JobSpec> daemon::parseJobSpec(const JsonValue &Body) {
     if (!P)
       return P.status();
   }
-  Spec.EnsembleSweep = Body.stringOr("ensemble_sweep", "");
-  Spec.EnsembleCellsPer = Body.intOr("ensemble_cells_per", 1);
   if (Spec.EnsembleCellsPer < 1)
     return Status::error("'ensemble_cells_per' must be >= 1");
   if (!Spec.EnsembleSweep.empty()) {
@@ -170,21 +211,7 @@ Expected<JobSpec> daemon::parseJobSpec(const JsonValue &Body) {
     if (!E)
       return E.status();
   }
-  if (const JsonValue *E = Body.find("engine")) {
-    if (!E->isString())
-      return Status::error("'engine' must be a string");
-    std::optional<exec::EngineTier> T =
-        exec::engineTierFromName(E->asString());
-    if (!T)
-      return Status::error("unknown engine '" + E->asString() +
-                           "' (vm, native, auto)");
-    Spec.Tier = *T;
-  }
-  if (Status S = parseConfig(Body, Spec.Config); !S)
-    return S;
-  if (Status S = Spec.Config.validate(); !S)
-    return S;
-  return Spec;
+  return Spec.Config.validate();
 }
 
 JsonValue daemon::jobSpecToJson(const JobSpec &Spec) {
@@ -194,11 +221,8 @@ JsonValue daemon::jobSpecToJson(const JobSpec &Spec) {
     Cfg.set("width", JsonValue::string("auto"));
   else
     Cfg.set("width", JsonValue::number(int64_t(Spec.Config.Width)));
-  const char *Layout = Spec.Config.Layout == codegen::StateLayout::SoA ? "soa"
-                       : Spec.Config.Layout == codegen::StateLayout::AoSoA
-                           ? "aosoa"
-                           : "aos";
-  Cfg.set("layout", JsonValue::string(Layout));
+  Cfg.set("layout",
+          JsonValue::string(codegen::stateLayoutName(Spec.Config.Layout)));
   Cfg.set("fastmath", JsonValue::boolean(Spec.Config.FastMath));
   Cfg.set("luts", JsonValue::boolean(Spec.Config.EnableLuts));
   Cfg.set("cubic", JsonValue::boolean(Spec.Config.CubicLut));

@@ -103,10 +103,19 @@ struct JobSpec {
   exec::EngineTier Tier = exec::EngineTier::VM;
 };
 
-/// Parses the body of a `submit` request (also the journal payload).
-/// Unknown fields are ignored; structurally invalid specs (missing
-/// model, non-positive counts, bad layout name) are recoverable errors.
+/// Parses the body of a `submit` request (also the journal payload) and
+/// validates it with validateJobSpec. Unknown fields are ignored; a
+/// field of the wrong type, an integer field holding a non-integral or
+/// out-of-range number, and every spec validateJobSpec refuses are
+/// recoverable errors.
 Expected<JobSpec> parseJobSpec(const JsonValue &Body);
+
+/// The value rules every run spec obeys, whichever client filled it
+/// (a `submit` body, a journal payload, `limpetc --run`'s flags):
+/// positive counts and dt, finite non-negative deadline, a tissue grid
+/// whose node count fits int64_t, a stimulus protocol and sweep grammar
+/// that parse, sweep and tissue not combined, and a valid engine config.
+Status validateJobSpec(const JobSpec &Spec);
 
 /// The spec as a JSON object — the journal payload and the `status`
 /// verb's job rendering both use it.

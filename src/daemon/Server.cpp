@@ -379,7 +379,12 @@ void Server::handleSubmit(Conn &C, const JsonValue &Body) {
 }
 
 void Server::handleCancel(Conn &C, const JsonValue &Body) {
-  uint64_t Id = uint64_t(Body.numberOr("id", 0));
+  Expected<int64_t> IdField = Body.intField("id", 0, 0, INT64_MAX);
+  if (!IdField) {
+    C.writeLine(errorEvent(IdField.status().message()));
+    return;
+  }
+  uint64_t Id = uint64_t(*IdField);
   JobPtr J = Queue.find(Id);
   if (!J) {
     C.writeLine(errorEvent("unknown job id " + std::to_string(Id)));
@@ -433,8 +438,13 @@ static JsonValue jobStatusJson(const Job &J) {
 void Server::handleStatus(Conn &C, const JsonValue &Body) {
   JsonValue Out = JsonValue::object();
   Out.set("event", JsonValue::string("status"));
-  if (const JsonValue *Id = Body.find("id")) {
-    JobPtr J = Queue.find(uint64_t(Id->asNumber()));
+  if (Body.find("id")) {
+    Expected<int64_t> Id = Body.intField("id", 0, 0, INT64_MAX);
+    if (!Id) {
+      C.writeLine(errorEvent(Id.status().message()));
+      return;
+    }
+    JobPtr J = Queue.find(uint64_t(*Id));
     if (!J) {
       C.writeLine(errorEvent("unknown job id"));
       return;

@@ -66,13 +66,6 @@ int ModelInfo::stateVarIndex(std::string_view Name) const {
   return -1;
 }
 
-int ModelInfo::lutIndex(std::string_view VarName) const {
-  for (size_t I = 0; I != Luts.size(); ++I)
-    if (Luts[I].VarName == VarName)
-      return int(I);
-  return -1;
-}
-
 static void countNodes(const Expr *E, std::set<const Expr *> &Seen) {
   if (!E || !Seen.insert(E).second)
     return;

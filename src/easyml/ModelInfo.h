@@ -93,7 +93,6 @@ struct ModelInfo {
   int externalIndex(std::string_view Name) const;
   int paramIndex(std::string_view Name) const;
   int stateVarIndex(std::string_view Name) const;
-  int lutIndex(std::string_view VarName) const;
 
   /// Rough operation count over all inlined expressions (distinct nodes),
   /// used to classify models into the paper's small/medium/large classes.

@@ -15,10 +15,10 @@
 // of hard-coding the SSE/AVX2/AVX-512 axis. Two kinds of entries exist:
 //
 //  * specialized: the templated interpreters with compile-time lane
-//    counts (the fast path the registry prefers when both exist);
+//    counts (1/2/4/8, the fast path);
 //  * vector-length-agnostic (VLA): one interpreter body whose lane count
-//    is a runtime parameter, registered for widths beyond the template
-//    burn (and, under LIMPET_VLA=1, preferred everywhere for testing).
+//    is a runtime parameter, registered only for the width beyond the
+//    template burn (16, on hosts whose probe allows it).
 //
 // Backend::step() owns the two concerns that used to be ad-hoc special
 // cases inside the engines:
@@ -61,10 +61,6 @@ public:
   /// analogue) instead of libm.
   virtual bool fastMath() const = 0;
 
-  /// Whether the lane count is a compile-time template parameter (the
-  /// specialized fast path) or a runtime value (the VLA interpreter).
-  virtual bool specialized() const { return true; }
-
   /// State alignment (bytes) this backend's main loop prefers: one full
   /// vector of f64 lanes.
   unsigned alignmentBytes() const { return width() * sizeof(double); }
@@ -100,7 +96,6 @@ struct BackendInfo {
   unsigned Width = 1;
   bool FastMath = false;
   unsigned AlignBytes = 8;
-  bool Specialized = true;
 };
 
 /// The data-driven table of every execution point this process can
@@ -109,19 +104,15 @@ struct BackendInfo {
 /// and the autotuner consult.
 class BackendRegistry {
 public:
-  /// The process-wide registry, built from hostCpuCaps() (and the
-  /// LIMPET_VLA preference) on first use.
+  /// The process-wide registry, built from hostCpuCaps() on first use.
   static const BackendRegistry &global();
 
   /// Builds the registry a machine with \p Caps would have. Used by tests
-  /// and by staleness checks against tuning records from other machines;
-  /// \p PreferVla mirrors LIMPET_VLA=1.
-  static BackendRegistry forCaps(const support::CpuCaps &Caps,
-                                 bool PreferVla = false);
+  /// and by staleness checks against tuning records from other machines.
+  static BackendRegistry forCaps(const support::CpuCaps &Caps);
 
-  /// The backend for (Width, FastMath), preferring the specialized
-  /// templated entry unless VLA dispatch is forced. Null when no entry
-  /// covers the width.
+  /// The backend for (Width, FastMath). Null when no entry covers the
+  /// width.
   const Backend *find(unsigned Width, bool FastMath) const;
 
   bool supportsWidth(unsigned W) const;
@@ -132,9 +123,9 @@ public:
   /// Every registered point.
   const std::vector<BackendInfo> &entries() const { return Entries; }
 
-  /// A stable hash of the ISA name and every (width, fastMath,
-  /// specialized) entry. Tuning records are keyed by this: a record tuned
-  /// on a machine with different capabilities is stale by construction.
+  /// A stable hash of the ISA name and every (width, fastMath) entry.
+  /// Tuning records are keyed by this: a record tuned on a machine with
+  /// different capabilities is stale by construction.
   uint64_t fingerprint() const { return Fingerprint; }
 
   /// The probed ISA this registry was built for ("avx512", "neon", ...).
@@ -143,16 +134,12 @@ public:
   /// f64 lanes of the widest native vector unit (heuristic input).
   unsigned maxLanes() const { return MaxLanes; }
 
-  /// Whether find() prefers VLA entries over specialized ones.
-  bool prefersVla() const { return PreferVla; }
-
 private:
   std::vector<BackendInfo> Entries;
   std::vector<unsigned> Widths;
   std::string Isa;
   unsigned MaxLanes = 1;
   uint64_t Fingerprint = 0;
-  bool PreferVla = false;
 };
 
 /// The shared backend instance for a supported (Width, FastMath) pair, or

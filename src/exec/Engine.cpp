@@ -608,9 +608,9 @@ private:
 };
 
 /// The vector-length-agnostic interpreter: one body (runVectorRange<0>)
-/// whose lane count is a member read at runtime. Bit-identical to the
-/// specialized backend of the same width and math flavour — the lane
-/// loops execute the same operations in the same order — just without
+/// whose lane count is a member read at runtime, registered for the one
+/// width beyond the template burn (16). Its lane loops execute the same
+/// operations in the same order as the specialized burns, just without
 /// compile-time trip counts for the host vectorizer to lean on.
 template <bool Fast> class VlaBackend final : public Backend {
 public:
@@ -619,7 +619,6 @@ public:
   std::string_view name() const override { return Name; }
   unsigned width() const override { return W; }
   bool fastMath() const override { return Fast; }
-  bool specialized() const override { return false; }
 
 protected:
   void runRange(const BcProgram &P, const KernelArgs &A) const override {
@@ -644,8 +643,8 @@ struct BackendPool {
   VectorBackend<4, true> V4Fast;
   VectorBackend<8, false> V8Exact;
   VectorBackend<8, true> V8Fast;
-  VlaBackend<false> Vla2Exact{2}, Vla4Exact{4}, Vla8Exact{8}, Vla16Exact{16};
-  VlaBackend<true> Vla2Fast{2}, Vla4Fast{4}, Vla8Fast{8}, Vla16Fast{16};
+  VlaBackend<false> Vla16Exact{16};
+  VlaBackend<true> Vla16Fast{16};
 
   static const BackendPool &get() {
     static const BackendPool Pool;
@@ -665,17 +664,14 @@ uint64_t fnv1a64(uint64_t H, const void *Data, size_t Len) {
 
 } // namespace
 
-BackendRegistry BackendRegistry::forCaps(const support::CpuCaps &Caps,
-                                         bool PreferVla) {
+BackendRegistry BackendRegistry::forCaps(const support::CpuCaps &Caps) {
   const BackendPool &Pool = BackendPool::get();
   BackendRegistry R;
   R.Isa = Caps.Isa;
   R.MaxLanes = Caps.MaxLanesF64;
-  R.PreferVla = PreferVla;
 
   auto add = [&](const Backend &B) {
-    R.Entries.push_back({&B, B.width(), B.fastMath(), B.alignmentBytes(),
-                         B.specialized()});
+    R.Entries.push_back({&B, B.width(), B.fastMath(), B.alignmentBytes()});
   };
 
   // The scalar interpreter and the specialized template burns register on
@@ -693,16 +689,9 @@ BackendRegistry BackendRegistry::forCaps(const support::CpuCaps &Caps,
   add(Pool.V8Exact);
   add(Pool.V8Fast);
 
-  // VLA twins of every specialized vector width (selectable via
-  // LIMPET_VLA=1 or a forced tune point), plus the extended width
-  // 2*MaxLanesF64 where the host's vector unit out-runs the template
-  // burn (two full vectors in flight per block on AVX-512).
-  add(Pool.Vla2Exact);
-  add(Pool.Vla2Fast);
-  add(Pool.Vla4Exact);
-  add(Pool.Vla4Fast);
-  add(Pool.Vla8Exact);
-  add(Pool.Vla8Fast);
+  // The runtime-width interpreter covers the extended width 2*MaxLanesF64
+  // where the host's vector unit out-runs the template burn (two full
+  // vectors in flight per block on AVX-512).
   if (Caps.MaxLanesF64 * 2 > 8) {
     add(Pool.Vla16Exact);
     add(Pool.Vla16Fast);
@@ -717,7 +706,7 @@ BackendRegistry BackendRegistry::forCaps(const support::CpuCaps &Caps,
   uint64_t H = 1469598103934665603ULL; // FNV offset basis
   H = fnv1a64(H, R.Isa.data(), R.Isa.size());
   for (const BackendInfo &E : R.Entries) {
-    uint32_t Tuple[3] = {E.Width, uint32_t(E.FastMath), uint32_t(E.Specialized)};
+    uint32_t Tuple[2] = {E.Width, uint32_t(E.FastMath)};
     H = fnv1a64(H, Tuple, sizeof(Tuple));
   }
   R.Fingerprint = H;
@@ -725,26 +714,16 @@ BackendRegistry BackendRegistry::forCaps(const support::CpuCaps &Caps,
 }
 
 const BackendRegistry &BackendRegistry::global() {
-  static const BackendRegistry R = [] {
-    const char *V = std::getenv("LIMPET_VLA");
-    return forCaps(support::hostCpuCaps(), V && V[0] == '1' && !V[1]);
-  }();
+  static const BackendRegistry R = forCaps(support::hostCpuCaps());
   return R;
 }
 
 const Backend *BackendRegistry::find(unsigned Width, bool FastMath) const {
-  const Backend *Fallback = nullptr;
-  for (const BackendInfo &E : Entries) {
-    if (E.Width != Width || E.FastMath != FastMath)
-      continue;
-    // Prefer the specialized template burn (or, under LIMPET_VLA=1, the
-    // VLA interpreter); fall back to whichever kind exists — scalar has
-    // no VLA twin, width 16 has no specialized burn.
-    if (E.Specialized != PreferVla)
+  // One entry per (width, math flavour).
+  for (const BackendInfo &E : Entries)
+    if (E.Width == Width && E.FastMath == FastMath)
       return E.Impl;
-    Fallback = E.Impl;
-  }
-  return Fallback;
+  return nullptr;
 }
 
 bool BackendRegistry::supportsWidth(unsigned W) const {

@@ -48,15 +48,13 @@ public:
   void cancel() { Cancelled.store(true, std::memory_order_release); }
 
   /// Arms a wall-clock deadline \p Seconds from now. Non-positive values
-  /// expire immediately; call disarmDeadline to remove a deadline.
+  /// expire immediately.
   void setDeadlineAfter(double Seconds) {
     auto Ns = std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double>(Seconds));
     DeadlineNs.store((Clock::now() + Ns).time_since_epoch().count(),
                      std::memory_order_release);
   }
-
-  void disarmDeadline() { DeadlineNs.store(0, std::memory_order_release); }
 
   bool cancelled() const {
     return Cancelled.load(std::memory_order_acquire);

@@ -204,7 +204,11 @@ Expected<EnsembleSpec> EnsembleSpec::fromJson(std::string_view Json,
     return Status::error("ensemble spec: " + Doc.status().message());
   const daemon::JsonValue *List = &*Doc;
   if (Doc->isObject()) {
-    CellsPerMember = Doc->intOr("cells_per_member", CellsPerMember);
+    Expected<int64_t> Cells =
+        Doc->intField("cells_per_member", CellsPerMember, 1, INT64_MAX);
+    if (!Cells)
+      return Status::error("ensemble spec: " + Cells.status().message());
+    CellsPerMember = *Cells;
     List = Doc->find("members");
     if (!List)
       return Status::error(

@@ -173,7 +173,6 @@ public:
   int64_t numMembers() const { return int64_t(Members.size()); }
   int64_t cellsPerMember() const { return CellsPer; }
   const EnsembleSpec &spec() const { return EM.Spec; }
-  uint64_t specHash() const { return SpecHash; }
 
   MemberStatus memberStatus(int64_t M) const;
   int64_t membersQuarantined() const { return QuarantinedCount; }

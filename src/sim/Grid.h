@@ -15,8 +15,13 @@
 #ifndef LIMPET_SIM_GRID_H
 #define LIMPET_SIM_GRID_H
 
+#include "support/Status.h"
+
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <string>
+#include <string_view>
 
 namespace limpet {
 namespace sim {
@@ -36,6 +41,28 @@ struct TissueGrid {
   int64_t xOf(int64_t Node) const { return NX > 0 ? Node % NX : 0; }
   int64_t yOf(int64_t Node) const { return NX > 0 ? Node / NX : 0; }
 };
+
+/// Parses a grid size "NX" or "NXxNY" ('X' also separates): decimal
+/// digits only, each dimension >= 1, NX*NY within int64_t. Trailing text
+/// ("8x8junk"), signs, overflow and zero dimensions are recoverable
+/// errors. Dx keeps its default.
+inline Expected<TissueGrid> parseGridSize(std::string_view Text) {
+  // from_chars skips no blank and takes no '+'; a '-' yields a value
+  // below 1, and overflow comes back as an error code.
+  auto dim = [](std::string_view S, int64_t &Out) {
+    auto [End, Ec] = std::from_chars(S.data(), S.data() + S.size(), Out);
+    return Ec == std::errc() && End == S.data() + S.size() && Out >= 1;
+  };
+  TissueGrid G;
+  size_t Sep = Text.find_first_of("xX");
+  int64_t Nodes = 0;
+  if (dim(Text.substr(0, Sep), G.NX) &&
+      (Sep == std::string_view::npos || dim(Text.substr(Sep + 1), G.NY)) &&
+      !__builtin_mul_overflow(G.NX, G.NY, &Nodes))
+    return G;
+  return Status::error("bad grid size '" + std::string(Text) +
+                       "' (want NX or NXxNY, each >= 1)");
+}
 
 /// The halo of a shard's contiguous node range [Begin, End): the node
 /// ranges outside it that the diffusion stencil reads. Both sub-ranges

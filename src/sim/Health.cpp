@@ -25,18 +25,6 @@ bool sim::allWithinRange(const double *Data, size_t N, double Lo, double Hi) {
   return Bad == 0;
 }
 
-std::string_view sim::cellModeName(CellMode M) {
-  switch (M) {
-  case CellMode::Normal:
-    return "normal";
-  case CellMode::ScalarExact:
-    return "scalar-exact";
-  case CellMode::Frozen:
-    return "frozen";
-  }
-  return "?";
-}
-
 void RunReport::merge(const RunReport &Other) {
   StepsTaken += Other.StepsTaken;
   HealthScans += Other.HealthScans;

@@ -50,8 +50,6 @@ enum class CellMode : uint8_t {
   Frozen,       ///< pinned to its last healthy snapshot and flagged
 };
 
-std::string_view cellModeName(CellMode M);
-
 /// What the fault-tolerant run loop did, surfaced through Simulator,
 /// limpetc --run, faultinject and the bench harness.
 struct RunReport {

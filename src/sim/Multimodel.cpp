@@ -165,10 +165,3 @@ double MultimodelSimulator::pluginState(size_t PluginIdx, int64_t Cell,
                                         int64_t Sv) const {
   return Plugins[PluginIdx].Buf->readState(Cell, Sv);
 }
-
-double MultimodelSimulator::sharedExternal(std::string_view Name,
-                                           int64_t Cell) const {
-  int Idx = Parent.info().externalIndex(Name);
-  assert(Idx >= 0 && "unknown shared external");
-  return ParentBuf.readExt(size_t(Idx), Cell);
-}

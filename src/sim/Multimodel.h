@@ -67,8 +67,6 @@ public:
   double vm(int64_t Cell) const;
   double parentState(int64_t Cell, int64_t Sv) const;
   double pluginState(size_t PluginIdx, int64_t Cell, int64_t Sv) const;
-  /// The shared external array value seen by every model.
-  double sharedExternal(std::string_view Name, int64_t Cell) const;
 
   /// The stepping loop this composition runs through (one shard plan for
   /// parent and plugins alike).

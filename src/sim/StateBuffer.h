@@ -66,10 +66,6 @@ public:
     for (int64_t C = Begin; C < End; ++C)
       Dst[C - Begin] = (*this)[C];
   }
-  void copyIn(const double *Src, int64_t Begin, int64_t End) const {
-    for (int64_t C = Begin; C < End; ++C)
-      (*this)[C] = Src[C - Begin];
-  }
 
 private:
   double *State;

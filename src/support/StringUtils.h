@@ -39,6 +39,12 @@ bool startsWith(std::string_view S, std::string_view Prefix);
 /// Returns true if \p S ends with \p Suffix.
 bool endsWith(std::string_view S, std::string_view Suffix);
 
+/// Command-line flag with a value, as "--flag=value" or "--flag value":
+/// true when Argv[I] is \p Flag with a value, which lands in \p Out (I
+/// moves past a separate value argument).
+bool flagValue(int Argc, char **Argv, int &I, std::string_view Flag,
+               std::string &Out);
+
 } // namespace limpet
 
 #endif // LIMPET_SUPPORT_STRINGUTILS_H

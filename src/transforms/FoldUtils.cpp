@@ -17,12 +17,6 @@ static const Operation *definingOp(const Value *V) {
   return nullptr;
 }
 
-bool transforms::isConstantValue(const Value *V) {
-  const Operation *Def = definingOp(V);
-  return Def && (Def->opcode() == OpCode::ArithConstantF ||
-                 Def->opcode() == OpCode::ArithConstantI);
-}
-
 std::optional<double> transforms::constantFloat(const Value *V) {
   const Operation *Def = definingOp(V);
   if (!Def || Def->opcode() != OpCode::ArithConstantF || !V->type().isF64())

@@ -16,9 +16,6 @@
 namespace limpet {
 namespace transforms {
 
-/// True if \p V is produced by an arith.constant / arith.constant_int op.
-bool isConstantValue(const ir::Value *V);
-
 /// The f64 payload of a float constant value.
 std::optional<double> constantFloat(const ir::Value *V);
 

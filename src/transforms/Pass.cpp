@@ -166,10 +166,3 @@ int64_t transforms::countOps(ir::Operation *Root) {
   Root->walk([&](ir::Operation *) { ++N; });
   return N;
 }
-
-ir::Operation *transforms::enclosingFunction(ir::Operation *Op) {
-  ir::Operation *Cur = Op;
-  while (Cur && Cur->opcode() != ir::OpCode::FuncFunc)
-    Cur = Cur->parentOp();
-  return Cur;
-}

@@ -125,9 +125,6 @@ void countUses(ir::Operation *Root,
 /// walked). Used by the per-pass statistics.
 int64_t countOps(ir::Operation *Root);
 
-/// Finds the enclosing func.func of \p Op (or \p Op itself).
-ir::Operation *enclosingFunction(ir::Operation *Op);
-
 } // namespace transforms
 } // namespace limpet
 

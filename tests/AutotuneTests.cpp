@@ -28,12 +28,11 @@ namespace {
 
 // These tests reason about the in-process fallback chain, so pin the
 // environment before anything memoizes it (the compile cache snapshots
-// LIMPET_CACHE_DIR on first use, the registry LIMPET_VLA/LIMPET_CPU_CAPS).
+// LIMPET_CACHE_DIR on first use, the registry LIMPET_CPU_CAPS).
 const bool EnvCleared = [] {
   unsetenv("LIMPET_CACHE_DIR");
   unsetenv("LIMPET_TUNE_FORCE");
   unsetenv("LIMPET_CPU_CAPS");
-  unsetenv("LIMPET_VLA");
   return true;
 }();
 
@@ -228,23 +227,67 @@ TEST(BackendRegistry, ProbesEveryNamedIsa) {
   EXPECT_NE(FpScalar, FpAvx512);
 }
 
-TEST(BackendRegistry, PreferVlaSwapsDispatchNotResults) {
-  support::CpuCaps Caps = *support::cpuCapsFromName("avx2");
-  exec::BackendRegistry Spec = exec::BackendRegistry::forCaps(Caps, false);
-  exec::BackendRegistry Vla = exec::BackendRegistry::forCaps(Caps, true);
-  const exec::Backend *S = Spec.find(4, true);
-  const exec::Backend *V = Vla.find(4, true);
-  ASSERT_NE(S, nullptr);
-  ASSERT_NE(V, nullptr);
-  EXPECT_TRUE(S->specialized());
-  EXPECT_FALSE(V->specialized());
-  EXPECT_EQ(S->width(), V->width());
-  EXPECT_EQ(S->fastMath(), V->fastMath());
-  // The scalar interpreter has no runtime-width twin; preferring VLA
-  // still resolves it rather than failing.
-  const exec::Backend *Scalar = Vla.find(1, false);
+/// State and Iion of 37 cells after 20 steps of \p M's program through
+/// \p B alone (37 = two 16-lane blocks plus a ragged scalar tail).
+std::vector<double> stepThrough(const exec::Backend &B,
+                                const exec::CompiledModel &M) {
+  const int64_t Cells = 37;
+  std::vector<double> State(M.stateArraySize(Cells));
+  M.initializeState(State.data(), Cells);
+  std::vector<double> Vm(Cells), Iion(Cells, 0.0);
+  for (int64_t C = 0; C != Cells; ++C)
+    Vm[C] = -90.0 + double(C) * 4.0;
+  std::vector<double> Params = M.defaultParams();
+  runtime::LutTableSet Luts = M.buildLuts(Params.data());
+  exec::KernelArgs Args;
+  Args.State = State.data();
+  Args.Exts = {Vm.data(), Iion.data()};
+  Args.Params = Params.data();
+  Args.End = Cells;
+  Args.NumCells = Cells;
+  Args.Dt = 0.02;
+  Args.Luts = &Luts;
+  for (int Step = 0; Step != 20; ++Step)
+    B.step(M.program(), Args);
+  State.insert(State.end(), Iion.begin(), Iion.end());
+  return State;
+}
+
+// Width 16 has no specialized burn: the runtime-width interpreter is its
+// only path, registered where two native vectors exceed the widest burn.
+// The interpreter itself runs on any host, so step it from an AVX-512
+// registry here and hold it to the scalar reference bit for bit.
+TEST(BackendRegistry, RuntimeWidth16MatchesScalarReference) {
+  exec::BackendRegistry Reg =
+      exec::BackendRegistry::forCaps(*support::cpuCapsFromName("avx512"));
+  const exec::Backend *W16 = Reg.find(16, false);
+  const exec::Backend *Scalar = Reg.find(1, false);
+  ASSERT_NE(W16, nullptr);
   ASSERT_NE(Scalar, nullptr);
-  EXPECT_TRUE(Scalar->specialized());
+  EXPECT_EQ(W16->name(), "vla16/libm");
+  // Every other width has exactly its specialized burn, no runtime-width
+  // twin.
+  for (unsigned W : {1u, 2u, 4u, 8u})
+    for (bool Fast : {false, true}) {
+      const exec::Backend *B = Reg.find(W, Fast);
+      ASSERT_NE(B, nullptr) << "w" << W;
+      EXPECT_EQ(B->width(), W);
+      EXPECT_NE(B->name().substr(0, 3), "vla") << B->name();
+    }
+  EXPECT_EQ(Reg.entries().size(), 10u);
+
+  // Exact mode (libm on every lane), AoS: the program is width-agnostic,
+  // so the same program runs through both backends.
+  exec::EngineConfig Cfg = exec::EngineConfig::baseline();
+  Cfg.EnableLuts = true;
+  std::string Error;
+  auto M = exec::CompiledModel::compile(testInfo(), Cfg, &Error);
+  ASSERT_TRUE(M.has_value()) << Error;
+  std::vector<double> Wide = stepThrough(*W16, *M);
+  std::vector<double> Ref = stepThrough(*Scalar, *M);
+  ASSERT_EQ(Wide.size(), Ref.size());
+  for (size_t I = 0; I != Ref.size(); ++I)
+    EXPECT_EQ(Wide[I], Ref[I]) << "element " << I;
 }
 
 double checksumAt(const easyml::ModelInfo &Info, StateLayout L, unsigned W) {

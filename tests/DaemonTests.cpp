@@ -8,17 +8,24 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "compiler/KernelEmitter.h"
 #include "daemon/JobQueue.h"
 #include "daemon/JobRunner.h"
 #include "daemon/Journal.h"
 #include "daemon/Json.h"
 #include "daemon/Protocol.h"
+#include "daemon/Server.h"
 #include "daemon/SpscRing.h"
+#include "models/Registry.h"
 #include "sim/Checkpoint.h"
+#include "support/Telemetry.h"
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <thread>
 #include <unistd.h>
 
@@ -87,6 +94,26 @@ TEST(DaemonJson, TypedAccessorsDefaultOnAbsentOrWrongType) {
   EXPECT_EQ(P->intOr("missing", 9), 9);  // absent
   EXPECT_EQ(P->stringOr("b", "d"), "d"); // wrong type
   EXPECT_EQ(P->intOr("b", 0), 3);
+}
+
+TEST(DaemonJson, IntegerReadsRejectNumbersNoIntegerHolds) {
+  Expected<JsonValue> P = JsonValue::parse(
+      "{\"big\":1e19,\"inf\":1e400,\"frac\":2.5,\"neg\":-1,"
+      "\"text\":\"7\",\"ok\":7}");
+  ASSERT_TRUE(bool(P));
+  // The lenient read defaults instead of casting out of range.
+  for (const char *Key : {"big", "inf", "frac", "text"})
+    EXPECT_EQ(P->intOr(Key, 42), 42) << Key;
+  EXPECT_EQ(P->intOr("neg", 0), -1);
+  // The checked read names the field and its range.
+  for (const char *Key : {"big", "inf", "frac", "neg", "text"}) {
+    Expected<int64_t> V = P->intField(Key, 0, 0, INT64_MAX);
+    ASSERT_FALSE(bool(V)) << Key;
+    EXPECT_NE(V.status().message().find(Key), std::string::npos);
+  }
+  EXPECT_EQ(*P->intField("ok", 0, 0, 10), 7);
+  EXPECT_FALSE(bool(P->intField("ok", 0, 0, 6)));
+  EXPECT_EQ(*P->intField("absent", 3, 0, 2), 3); // default, unchecked
 }
 
 TEST(DaemonJson, MalformedInputIsARecoverableError) {
@@ -462,6 +489,66 @@ TEST(DaemonJobSpec, StructurallyInvalidSpecsAreRecoverableErrors) {
   EXPECT_TRUE(Spec->Guard);
 }
 
+// Integer fields arrive from the socket: a number no integer type holds
+// is rejected, never cast (1e19 used to come back as -1, accepted).
+TEST(DaemonJobSpec, HostileIntegersAreRecoverableErrors) {
+  const char *Bad[] = {
+      "{\"model\":\"HH\",\"cells\":1e19}",
+      "{\"model\":\"HH\",\"cells\":1e400}",
+      "{\"model\":\"HH\",\"cells\":2.5}",
+      "{\"model\":\"HH\",\"cells\":-1}",
+      "{\"model\":\"HH\",\"checkpoint_every\":1e19}",
+      "{\"model\":\"HH\",\"checkpoint_every\":-1e400}",
+      "{\"model\":\"HH\",\"checkpoint_every\":0.5}",
+      "{\"model\":\"HH\",\"tissue_nx\":4,\"tissue_ny\":1e19}",
+      "{\"model\":\"HH\",\"tissue_nx\":4,\"tissue_ny\":1.5}",
+      "{\"model\":\"HH\",\"tissue_nx\":4,\"tissue_ny\":-1}",
+      "{\"model\":\"HH\",\"tissue_nx\":4e18,\"tissue_ny\":4}",
+      "{\"model\":\"HH\",\"priority\":1e19}",
+      "{\"model\":\"HH\",\"priority\":3e9}",
+      "{\"model\":\"HH\",\"priority\":0.5}",
+      "{\"model\":\"HH\",\"id\":-1}",
+      "{\"model\":\"HH\",\"dt\":1e400}",
+      "{\"model\":\"HH\",\"timeout_sec\":1e400}",
+  };
+  for (const char *Text : Bad) {
+    Expected<JsonValue> Body = JsonValue::parse(Text);
+    ASSERT_TRUE(bool(Body)) << Text;
+    EXPECT_FALSE(bool(parseJobSpec(*Body))) << "accepted: " << Text;
+  }
+  // In-range integral values (1e3 is an integer) still parse.
+  Expected<JsonValue> Ok = JsonValue::parse(
+      "{\"model\":\"HH\",\"cells\":1e3,\"checkpoint_every\":-7,"
+      "\"priority\":-2147483648,\"tissue_nx\":3,\"tissue_ny\":2}");
+  ASSERT_TRUE(bool(Ok));
+  Expected<JobSpec> Spec = parseJobSpec(*Ok);
+  ASSERT_TRUE(bool(Spec)) << Spec.status().message();
+  EXPECT_EQ(Spec->NumCells, 1000);
+  EXPECT_EQ(Spec->CheckpointEveryN, -1); // below -1 reads as unspecified
+  EXPECT_EQ(Spec->Priority, INT32_MIN);
+  EXPECT_EQ(Spec->TissueNY, 2);
+}
+
+TEST(DaemonJobSpec, ValidatorHoldsForSpecsBuiltInCode) {
+  JobSpec Spec;
+  Spec.Model = "HodgkinHuxley";
+  EXPECT_TRUE(validateJobSpec(Spec));
+  JobSpec Bad = Spec;
+  Bad.NumSteps = 0;
+  EXPECT_FALSE(validateJobSpec(Bad));
+  Bad = Spec;
+  Bad.TissueNX = 8;
+  Bad.EnsembleSweep = "gNa=90,120";
+  EXPECT_FALSE(validateJobSpec(Bad));
+  Bad = Spec;
+  Bad.CheckpointEveryN = -2;
+  EXPECT_FALSE(validateJobSpec(Bad));
+  Bad = Spec;
+  Bad.TissueNX = 8;
+  Bad.TissueStim = "bogus:x=1";
+  EXPECT_FALSE(validateJobSpec(Bad));
+}
+
 TEST(DaemonJobSpec, EnsembleSweepRoundTripsAndValidatesAtAdmission) {
   Expected<JsonValue> Body = JsonValue::parse(
       "{\"model\":\"HodgkinHuxley\",\"steps\":200,"
@@ -596,6 +683,125 @@ TEST(DaemonEvents, TerminalEventChecksumRoundTripsExactly) {
   ASSERT_TRUE(bool(E));
   EXPECT_EQ(E->intOr("members_ok", -1), 997);
   EXPECT_EQ(E->intOr("members_quarantined", -1), 3);
+}
+
+//===----------------------------------------------------------------------===//
+// Server: hostile job ids on cancel and status
+//===----------------------------------------------------------------------===//
+
+/// Sends one request line to \p Sock and returns the response line.
+std::string roundTrip(const std::string &Sock, const std::string &Line) {
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Sock.c_str(), sizeof(Addr.sun_path) - 1);
+  std::string Out;
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) == 0) {
+    std::string Framed = Line + "\n";
+    if (::send(Fd, Framed.data(), Framed.size(), MSG_NOSIGNAL) ==
+        ssize_t(Framed.size())) {
+      char C;
+      while (::recv(Fd, &C, 1, 0) == 1 && C != '\n')
+        Out += C;
+    }
+  }
+  ::close(Fd);
+  return Out;
+}
+
+TEST(DaemonServer, CancelAndStatusRejectHostileIds) {
+  std::string Dir = freshDir("server-ids");
+  Server::Options O;
+  O.SocketPath = Dir + "/d.sock";
+  O.StateDir = Dir + "/state";
+  O.Runners = 1;
+  O.SimThreads = 1;
+  Server Srv(O);
+  ASSERT_TRUE(Srv.start().isOk());
+  std::thread Serve([&] { Srv.serve(); });
+
+  for (const char *Id : {"-1", "1e19", "1e400", "2.5", "\"3\""}) {
+    for (const char *Verb : {"cancel", "status"}) {
+      std::string Resp = roundTrip(O.SocketPath, std::string("{\"verb\":\"") +
+                                                     Verb + "\",\"id\":" +
+                                                     Id + "}");
+      Expected<JsonValue> J = JsonValue::parse(Resp);
+      ASSERT_TRUE(bool(J)) << Verb << " " << Id << ": '" << Resp << "'";
+      EXPECT_EQ(J->stringOr("event", ""), "error") << Verb << " " << Id;
+      EXPECT_NE(J->stringOr("error", "").find("'id' must be an integer"),
+                std::string::npos)
+          << Verb << " " << Id << ": " << Resp;
+    }
+  }
+  // A well-formed id that names no job is still an ordinary error.
+  Expected<JsonValue> J =
+      JsonValue::parse(roundTrip(O.SocketPath, "{\"verb\":\"cancel\",\"id\":9}"));
+  ASSERT_TRUE(bool(J));
+  EXPECT_EQ(J->stringOr("error", ""), "unknown job id 9");
+
+  roundTrip(O.SocketPath, "{\"verb\":\"shutdown\"}");
+  Serve.join();
+  std::filesystem::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// Shared run path: native sweeps step the lowered kernel natively
+//===----------------------------------------------------------------------===//
+
+// A sweep lowers its swept parameters and compiles a second model; that
+// lowered model is what steps, so a native job must attach *its* native
+// kernel (the base model's cannot serve the lowered program). The
+// checksum stays bit-identical to the VM run of the same sweep.
+TEST(DaemonJobRunner, NativeSweepStepsALoweredNativeKernel) {
+  if (!compiler::nativeToolchain())
+    GTEST_SKIP() << "no native toolchain on this box";
+  JobSpec Spec;
+  Spec.Model = "HodgkinHuxley";
+  Spec.NumSteps = 300;
+  Spec.EnsembleSweep = "gNa=90,130";
+  Spec.Tier = exec::EngineTier::Native;
+
+  // The shared builder: the kernel that steps is the lowered model's,
+  // and it is native.
+  const models::ModelEntry *Entry = models::findModel(Spec.Model);
+  ASSERT_NE(Entry, nullptr);
+  compiler::DriverOptions DOpts;
+  DOpts.Tier = Spec.Tier;
+  compiler::CompileResult R = compiler::CompilerDriver(DOpts).compileEntry(*Entry);
+  ASSERT_TRUE(bool(R)) << R.Err.message();
+  Expected<JobSimulation> Built =
+      buildJobSimulation(Spec, R, Entry->Source, sim::SimOptions());
+  ASSERT_TRUE(bool(Built)) << Built.status().message();
+  ASSERT_NE(Built->Runner, nullptr);
+  EXPECT_EQ(&Built->Sim->model(), Built->Ensemble->Model.get());
+  EXPECT_TRUE(Built->Sim->model().usingNativeTier())
+      << Built->NativeErr.message();
+  EXPECT_EQ(Built->Runner->numMembers(), 2);
+
+  // Through the runner: same checksum as the VM job, counted as native.
+  std::string Dir = freshDir("runner-native-sweep");
+  Journal Jr(Dir + "/journal.lj");
+  ASSERT_TRUE(Jr.open().isOk());
+  JobRunner Runner({Dir, 1, 0}, Jr);
+  auto run = [&](uint64_t Id, exec::EngineTier Tier) {
+    Job J;
+    J.Spec = Spec;
+    J.Spec.Id = Id;
+    J.Spec.Tier = Tier;
+    EXPECT_EQ(Runner.execute(J), JobState::Finished) << J.Error;
+    EXPECT_EQ(J.MembersOk, 2);
+    return J.Checksum;
+  };
+  uint64_t NativeBefore = telemetry::counter("daemon.jobs.native").get();
+  double Native = run(1, exec::EngineTier::Native);
+  if (telemetry::kEnabled) {
+    EXPECT_EQ(telemetry::counter("daemon.jobs.native").get(),
+              NativeBefore + 1);
+  }
+  double Vm = run(2, exec::EngineTier::VM);
+  EXPECT_EQ(Native, Vm);
+  EXPECT_NE(Native, 0.0);
+  std::filesystem::remove_all(Dir);
 }
 
 } // namespace

@@ -107,6 +107,27 @@ TEST(TissueGrid, HaloClipsAtGridEdges) {
 // Diffusion operator
 //===----------------------------------------------------------------------===//
 
+TEST(TissueGrid, ParseGridSizeAcceptsOnlyWholeInRangeSizes) {
+  Expected<TissueGrid> G = parseGridSize("64");
+  ASSERT_TRUE(bool(G));
+  EXPECT_EQ(G->NX, 64);
+  EXPECT_EQ(G->NY, 1);
+  G = parseGridSize("24x12");
+  ASSERT_TRUE(bool(G));
+  EXPECT_EQ(G->NX, 24);
+  EXPECT_EQ(G->NY, 12);
+  G = parseGridSize("3X7");
+  ASSERT_TRUE(bool(G));
+  EXPECT_EQ(G->NY, 7);
+  // Trailing text, signs, blanks, zero, overflow of a dimension and of
+  // the node count are all rejected.
+  for (const char *Bad :
+       {"", "x", "8x", "x8", "8x8junk", "8junk", "8x8x8", "0", "8x0", "-8",
+        "+8", "8x-1", " 8", "8 ", "8y8", "99999999999999999999",
+        "4294967296x4294967296", "9223372036854775807x2"})
+    EXPECT_FALSE(bool(parseGridSize(Bad))) << "accepted '" << Bad << "'";
+}
+
 TEST(Diffusion, MethodNamesParseAndRoundTrip) {
   auto Ftcs = parseDiffusionMethod("ftcs");
   ASSERT_TRUE(Ftcs.hasValue());

@@ -21,7 +21,8 @@
 #include "compiler/Artifact.h"
 #include "compiler/CompileCache.h"
 #include "compiler/CompilerDriver.h"
-#include "compiler/KernelEmitter.h"
+#include "compiler/Serialize.h"
+#include "daemon/JobRunner.h"
 #include "easyml/Preprocessor.h"
 #include "easyml/Sema.h"
 #include "exec/Backend.h"
@@ -29,9 +30,7 @@
 #include "ir/Context.h"
 #include "ir/Printer.h"
 #include "models/Registry.h"
-#include "sim/Ensemble.h"
-#include "sim/Simulator.h"
-#include "sim/TissueSimulator.h"
+#include "sim/Grid.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 #include "support/Trace.h"
@@ -41,7 +40,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -292,40 +290,21 @@ int main(int argc, char **argv) {
   bool PrintIRAll = false;
   std::string EmitArtifactPath, LoadArtifactPath;
   bool UseCache = true;
-  int64_t RunSteps = 1000, RunCells = 256;
-  double RunDt = 0.01;
-  std::string TissueSpec, StimSpec, CvSpec;
-  std::string SweepSpec, EnsembleJsonPath, MemberStatsPath;
-  int64_t MemberCells = 1;
-  double TissueDx = 0.025, TissueSigma = 0.001;
-  sim::DiffusionMethod DiffMethod = sim::DiffusionMethod::FTCS;
-  bool RunGuard = false;
+  // --run describes its simulation as a daemon JobSpec. The JobSpec
+  // defaults are limpetc's, except guard rails (off here) and the
+  // checkpoint cadence (final checkpoint only).
+  daemon::JobSpec Spec;
+  Spec.Guard = false;
+  Spec.CheckpointEveryN = 0;
+  std::string CvSpec, EnsembleJsonPath, MemberStatsPath;
   bool Stats = false;
   std::string TracePath;
   std::string CkptDir;
-  int64_t CkptEvery = 0;
   int64_t CkptRetain = 3;
-  double TimeoutSec = 0;
   bool Resume = false;
   bool CacheGc = false;
   unsigned SuiteJobs = 0;
   exec::EngineTier Tier = exec::EngineTier::VM;
-
-  // Accepts both "--flag value" and "--flag=value" for the valued flags
-  // below; returns the value through Out.
-  auto valued = [&](const std::string &Arg, int &I, const char *Flag,
-                    std::string &Out) {
-    size_t N = std::strlen(Flag);
-    if (Arg.compare(0, N, Flag) == 0 && Arg.size() > N && Arg[N] == '=') {
-      Out = Arg.substr(N + 1);
-      return true;
-    }
-    if (Arg == Flag && I + 1 < argc) {
-      Out = argv[++I];
-      return true;
-    }
-    return false;
-  };
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -363,20 +342,20 @@ int main(int argc, char **argv) {
     else if (Arg == "--cache-gc")
       CacheGc = true;
     else if (Arg == "--guard")
-      RunGuard = true;
+      Spec.Guard = true;
     else if (Arg == "--resume")
       Resume = true;
-    else if (valued(Arg, I, "--checkpoint-dir", Val))
+    else if (flagValue(argc, argv, I, "--checkpoint-dir", Val))
       CkptDir = Val;
-    else if (valued(Arg, I, "--checkpoint-every", Val))
-      CkptEvery = std::atoll(Val.c_str());
-    else if (valued(Arg, I, "--retain", Val))
+    else if (flagValue(argc, argv, I, "--checkpoint-every", Val))
+      Spec.CheckpointEveryN = std::atoll(Val.c_str());
+    else if (flagValue(argc, argv, I, "--retain", Val))
       CkptRetain = std::atoll(Val.c_str());
-    else if (valued(Arg, I, "--timeout", Val))
-      TimeoutSec = std::atof(Val.c_str());
-    else if (valued(Arg, I, "--jobs", Val))
+    else if (flagValue(argc, argv, I, "--timeout", Val))
+      Spec.TimeoutSec = std::atof(Val.c_str());
+    else if (flagValue(argc, argv, I, "--jobs", Val))
       SuiteJobs = unsigned(std::atoi(Val.c_str()));
-    else if (valued(Arg, I, "--engine", Val)) {
+    else if (flagValue(argc, argv, I, "--engine", Val)) {
       std::optional<exec::EngineTier> T = exec::engineTierFromName(Val);
       if (!T) {
         std::fprintf(stderr, "error: unknown engine '%s' (vm, native, auto)\n",
@@ -419,38 +398,46 @@ int main(int argc, char **argv) {
     else if (Arg == "--trace" && I + 1 < argc)
       TracePath = argv[++I];
     else if (Arg == "--steps" && I + 1 < argc)
-      RunSteps = std::atoll(argv[++I]);
+      Spec.NumSteps = std::atoll(argv[++I]);
     else if (Arg == "--cells" && I + 1 < argc)
-      RunCells = std::atoll(argv[++I]);
-    else if (valued(Arg, I, "--dt", Val))
-      RunDt = std::atof(Val.c_str());
-    else if (valued(Arg, I, "--tissue", Val))
-      TissueSpec = Val;
-    else if (valued(Arg, I, "--dx", Val))
-      TissueDx = std::atof(Val.c_str());
-    else if (valued(Arg, I, "--sigma", Val))
-      TissueSigma = std::atof(Val.c_str());
-    else if (valued(Arg, I, "--stim", Val))
-      StimSpec = Val;
-    else if (valued(Arg, I, "--cv", Val))
+      Spec.NumCells = std::atoll(argv[++I]);
+    else if (flagValue(argc, argv, I, "--dt", Val))
+      Spec.Dt = std::atof(Val.c_str());
+    else if (flagValue(argc, argv, I, "--tissue", Val)) {
+      // --tissue=NX[xNY]: the grid's node count replaces --cells.
+      Expected<sim::TissueGrid> G = sim::parseGridSize(Val);
+      if (!G) {
+        std::fprintf(stderr, "error: --tissue: %s\n",
+                     G.status().message().c_str());
+        return 1;
+      }
+      Spec.TissueNX = G->NX;
+      Spec.TissueNY = G->NY;
+    } else if (flagValue(argc, argv, I, "--dx", Val))
+      Spec.TissueDx = std::atof(Val.c_str());
+    else if (flagValue(argc, argv, I, "--sigma", Val))
+      Spec.TissueSigma = std::atof(Val.c_str());
+    else if (flagValue(argc, argv, I, "--stim", Val))
+      Spec.TissueStim = Val;
+    else if (flagValue(argc, argv, I, "--cv", Val))
       CvSpec = Val;
-    else if (valued(Arg, I, "--sweep", Val))
-      SweepSpec = Val;
-    else if (valued(Arg, I, "--ensemble", Val))
+    else if (flagValue(argc, argv, I, "--sweep", Val))
+      Spec.EnsembleSweep = Val;
+    else if (flagValue(argc, argv, I, "--ensemble", Val))
       EnsembleJsonPath = Val;
-    else if (valued(Arg, I, "--member-cells", Val))
-      MemberCells = std::atoll(Val.c_str());
-    else if (valued(Arg, I, "--member-stats", Val))
+    else if (flagValue(argc, argv, I, "--member-cells", Val))
+      Spec.EnsembleCellsPer = std::atoll(Val.c_str());
+    else if (flagValue(argc, argv, I, "--member-stats", Val))
       MemberStatsPath = Val;
-    else if (valued(Arg, I, "--diffusion", Val)) {
+    else if (flagValue(argc, argv, I, "--diffusion", Val)) {
       Expected<sim::DiffusionMethod> D = sim::parseDiffusionMethod(Val);
       if (!D) {
         std::fprintf(stderr, "error: %s\n", D.status().message().c_str());
         return 1;
       }
-      DiffMethod = *D;
+      Spec.TissueMethod = uint8_t(*D);
     }
-    else if (valued(Arg, I, "--width", Val)) {
+    else if (flagValue(argc, argv, I, "--width", Val)) {
       WidthSet = true;
       if (Val == "auto")
         WidthAuto = true;
@@ -461,18 +448,14 @@ int main(int argc, char **argv) {
     else if (Arg == "--tune-report")
       TuneReport = true;
     else if (Arg == "--layout" && I + 1 < argc) {
-      std::string L = argv[++I];
-      LayoutSet = true;
-      if (L == "aos")
-        Layout = codegen::StateLayout::AoS;
-      else if (L == "soa")
-        Layout = codegen::StateLayout::SoA;
-      else if (L == "aosoa")
-        Layout = codegen::StateLayout::AoSoA;
-      else {
-        std::fprintf(stderr, "error: unknown layout '%s'\n", L.c_str());
+      std::optional<codegen::StateLayout> L =
+          codegen::stateLayoutFromName(argv[++I]);
+      if (!L) {
+        std::fprintf(stderr, "error: unknown layout '%s'\n", argv[I]);
         return 1;
       }
+      Layout = *L;
+      LayoutSet = true;
     } else if (!startsWith(Arg, "--") && ModelArg.empty()) {
       ModelArg = Arg;
     } else {
@@ -487,23 +470,14 @@ int main(int argc, char **argv) {
 
   // The ensemble flags only make sense together with --run, and a sweep
   // cannot come from two places at once.
-  bool WantEnsemble = !SweepSpec.empty() || !EnsembleJsonPath.empty();
-  if (!SweepSpec.empty() && !EnsembleJsonPath.empty()) {
+  if (!Spec.EnsembleSweep.empty() && !EnsembleJsonPath.empty()) {
     std::fprintf(stderr,
                  "error: --sweep and --ensemble are mutually exclusive\n");
     return 1;
   }
-  if (WantEnsemble && M != Mode::Run) {
+  if ((!Spec.EnsembleSweep.empty() || !EnsembleJsonPath.empty()) &&
+      M != Mode::Run) {
     std::fprintf(stderr, "error: --sweep/--ensemble need --run\n");
-    return 1;
-  }
-  if (WantEnsemble && !TissueSpec.empty()) {
-    std::fprintf(stderr,
-                 "error: --sweep/--ensemble cannot combine with --tissue\n");
-    return 1;
-  }
-  if (MemberCells < 1) {
-    std::fprintf(stderr, "error: --member-cells must be >= 1\n");
     return 1;
   }
 
@@ -571,6 +545,29 @@ int main(int argc, char **argv) {
   DriverOpts.SnapshotStages = PrintIRAfter;
   compiler::CompilerDriver Driver(DriverOpts);
 
+  // The model every single-model mode works on: a suite model by name, or
+  // an .easyml/.model file.
+  std::string Name = ModelArg;
+  std::string Source;
+  if (M != Mode::Suite && !ModelArg.empty()) {
+    if (endsWith(Name, ".easyml") || endsWith(Name, ".model")) {
+      std::optional<std::string> Read = readFile(ModelArg.c_str());
+      if (!Read) {
+        std::fprintf(stderr, "error: cannot read '%s'\n", ModelArg.c_str());
+        return 1;
+      }
+      Source = std::move(*Read);
+    } else if (const models::ModelEntry *E = models::findModel(Name)) {
+      Source = E->Source;
+    } else {
+      std::fprintf(stderr,
+                   "error: '%s' is neither a file nor a suite model (try "
+                   "--list)\n",
+                   ModelArg.c_str());
+      return 1;
+    }
+  }
+
   // --tune-report: print the persisted tuning record(s) under the current
   // flags (the key covers the math/LUT/pipeline flags and the engine
   // tier, not the tuned width/layout axes) and exit.
@@ -581,15 +578,8 @@ int main(int argc, char **argv) {
     if (M == Mode::Suite || ModelArg.empty()) {
       for (const models::ModelEntry &E : models::modelRegistry())
         Targets.emplace_back(E.Name, E.Source);
-    } else if (const models::ModelEntry *E = models::findModel(ModelArg)) {
-      Targets.emplace_back(E->Name, E->Source);
-    } else if (std::optional<std::string> Read = readFile(ModelArg.c_str())) {
-      Targets.emplace_back(ModelArg, std::move(*Read));
     } else {
-      std::fprintf(stderr,
-                   "error: '%s' is neither a file nor a suite model\n",
-                   ModelArg.c_str());
-      return 1;
+      Targets.emplace_back(Name, Source);
     }
     std::printf("backend registry: %s, fingerprint %016llx\n",
                 Reg.isa().c_str(), (unsigned long long)Reg.fingerprint());
@@ -666,23 +656,18 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: no model named (try --list)\n");
     return 1;
   }
-  std::string Name = ModelArg;
-  std::string Source;
-  if (endsWith(Name, ".easyml") || endsWith(Name, ".model")) {
-    std::optional<std::string> Read = readFile(ModelArg.c_str());
-    if (!Read) {
-      std::fprintf(stderr, "error: cannot read '%s'\n", ModelArg.c_str());
+
+  // --run's spec passes the daemon's validator before anything compiles:
+  // a bad value is one clear error, whichever client supplied it.
+  if (M == Mode::Run) {
+    Spec.Model = Name;
+    Spec.Config = Cfg;
+    Spec.Autotune = Autotune;
+    Spec.Tier = Tier;
+    if (Status St = daemon::validateJobSpec(Spec); !St) {
+      std::fprintf(stderr, "error: %s\n", St.message().c_str());
       return 1;
     }
-    Source = std::move(*Read);
-  } else if (const models::ModelEntry *E = models::findModel(Name)) {
-    Source = E->Source;
-  } else {
-    std::fprintf(stderr,
-                 "error: '%s' is neither a file nor a suite model (try "
-                 "--list)\n",
-                 ModelArg.c_str());
-    return 1;
   }
 
   // Driver-based paths: --load-artifact / --run / --emit-artifact /
@@ -734,72 +719,39 @@ int main(int argc, char **argv) {
     }
 
     if (M == Mode::Run) {
-      const exec::CompiledModel &Model = *R.Model;
+      // What the spec does not say: checkpoint directory and retention,
+      // and the --timeout deadline token.
       sim::SimOptions Opts;
-      Opts.NumCells = RunCells;
-      Opts.NumSteps = RunSteps;
-      Opts.Dt = RunDt;
-      Opts.StimPeriod = 100.0;
-      Opts.Guard.Enabled = RunGuard;
-      // --tissue=NX[xNY]: the grid's node count replaces --cells.
-      sim::TissueGrid Grid;
-      bool Tissue = !TissueSpec.empty();
-      if (Tissue) {
-        long long NX = 0, NY = 1;
-        char Sep = 0;
-        int N = std::sscanf(TissueSpec.c_str(), "%lld%c%lld", &NX, &Sep, &NY);
-        if (N == 1)
-          NY = 1;
-        else if (N != 3 || (Sep != 'x' && Sep != 'X')) {
-          std::fprintf(stderr,
-                       "error: bad --tissue spec '%s' (want NX or NXxNY)\n",
-                       TissueSpec.c_str());
-          return 1;
-        }
-        if (NX < 1 || NY < 1) {
-          std::fprintf(stderr, "error: --tissue dimensions must be >= 1\n");
-          return 1;
-        }
-        Grid = {NX, NY, TissueDx};
-      }
       if (Resume && CkptDir.empty()) {
         std::fprintf(stderr,
                      "error: --resume needs --checkpoint-dir\n");
         return 1;
       }
       if (!CkptDir.empty()) {
-        // Probe the directory up front: an unwritable --checkpoint-dir is
-        // one clear error before the run, not a failure at step 99,000.
-        sim::CheckpointStore Store(CkptDir, int(CkptRetain));
-        if (Status St = Store.prepare(); !St) {
-          std::fprintf(stderr, "error: %s\n", St.message().c_str());
-          return 1;
-        }
         Opts.Checkpoint.Dir = CkptDir;
-        Opts.Checkpoint.EveryN = CkptEvery;
         Opts.Checkpoint.Retain = int(CkptRetain);
-        Opts.Checkpoint.SourceHash = R.SourceHash;
         sim::installShutdownHandlers();
       }
       // The --timeout deadline rides the same cooperative cancel token
       // limpetd arms for its jobs: polled at step boundaries, never
       // mid-step, so the final checkpoint is always resumable.
       sim::CancelToken Deadline;
-      if (TimeoutSec > 0) {
-        Deadline.setDeadlineAfter(TimeoutSec);
+      if (Spec.TimeoutSec > 0) {
+        Deadline.setDeadlineAfter(Spec.TimeoutSec);
         Opts.Cancel = &Deadline;
       }
       // --cv=A,B: probe node indices for the post-run conduction-velocity
       // readout (tissue only).
       long long CvA = -1, CvB = -1;
       if (!CvSpec.empty()) {
-        if (!Tissue) {
+        if (Spec.TissueNX == 0) {
           std::fprintf(stderr, "error: --cv needs --tissue\n");
           return 1;
         }
+        long long Nodes = Spec.TissueNX * Spec.TissueNY;
         if (std::sscanf(CvSpec.c_str(), "%lld,%lld", &CvA, &CvB) != 2 ||
-            CvA < 0 || CvB < 0 || CvA == CvB ||
-            CvA >= Grid.numNodes() || CvB >= Grid.numNodes()) {
+            CvA < 0 || CvB < 0 || CvA == CvB || CvA >= Nodes ||
+            CvB >= Nodes) {
           std::fprintf(stderr,
                        "error: bad --cv spec '%s' (want two distinct node "
                        "indices A,B inside the grid)\n",
@@ -807,106 +759,56 @@ int main(int argc, char **argv) {
           return 1;
         }
       }
-      // The ensemble model owns the lowered CompiledModel; declared before
-      // S so it outlives the runner built on it.
-      std::optional<sim::EnsembleModel> EMod;
-      std::unique_ptr<sim::Simulator> S;
-      sim::TissueSimulator *TissueSim = nullptr;
-      sim::EnsembleRunner *EnsSim = nullptr;
-      if (Tissue) {
-        sim::TissueOptions TO;
-        TO.Grid = Grid;
-        TO.Sigma = TissueSigma;
-        TO.Method = DiffMethod;
-        if (!StimSpec.empty()) {
-          Expected<sim::StimulusProtocol> P =
-              sim::StimulusProtocol::parse(StimSpec, Grid);
-          if (!P) {
-            std::fprintf(stderr, "error: %s\n",
-                         P.status().message().c_str());
-            return 1;
-          }
-          TO.Stim = *P;
-        }
-        TO.Sim = Opts;
-        auto TS = std::make_unique<sim::TissueSimulator>(Model, TO);
-        if (Status St = TS->preflight(); !St) {
-          std::fprintf(stderr, "error: %s\n", St.message().c_str());
+      // --ensemble FILE: an explicit member list in place of the spec's
+      // sweep grammar.
+      std::optional<sim::EnsembleSpec> Members;
+      if (!EnsembleJsonPath.empty()) {
+        Expected<sim::EnsembleSpec> E = sim::EnsembleSpec::fromJsonFile(
+            EnsembleJsonPath, Spec.EnsembleCellsPer);
+        if (!E) {
+          std::fprintf(stderr, "error: %s\n", E.status().message().c_str());
           return 1;
         }
+        Members = std::move(*E);
+      }
+      Expected<daemon::JobSimulation> Built = daemon::buildJobSimulation(
+          Spec, R, Source, Opts, std::move(Members));
+      if (!Built) {
+        std::fprintf(stderr, "error: %s\n",
+                     Built.status().message().c_str());
+        return 1;
+      }
+      sim::Simulator *S = Built->Sim.get();
+      sim::TissueSimulator *TissueSim = Built->Tissue;
+      sim::EnsembleRunner *EnsSim = Built->Runner;
+      if (TissueSim) {
         std::printf("tissue %lldx%lld: dx=%g cm, sigma=%g cm^2/ms, "
                     "diffusion=%s, stim=%s\n",
-                    (long long)TS->grid().NX, (long long)TS->grid().NY,
-                    TS->grid().Dx, TS->tissueOptions().Sigma,
+                    (long long)TissueSim->grid().NX,
+                    (long long)TissueSim->grid().NY, TissueSim->grid().Dx,
+                    TissueSim->tissueOptions().Sigma,
                     std::string(sim::diffusionMethodName(
-                                    TS->tissueOptions().Method))
+                                    TissueSim->tissueOptions().Method))
                         .c_str(),
-                    TS->stimulus().str().c_str());
+                    TissueSim->stimulus().str().c_str());
         if (CvA >= 0)
-          TS->enableActivationMap(-20.0);
-        TissueSim = TS.get();
-        S = std::move(TS);
-      } else if (WantEnsemble) {
-        Expected<sim::EnsembleSpec> Spec =
-            !SweepSpec.empty()
-                ? sim::EnsembleSpec::fromSweep(SweepSpec, MemberCells)
-                : sim::EnsembleSpec::fromJsonFile(EnsembleJsonPath,
-                                                  MemberCells);
-        if (!Spec) {
-          std::fprintf(stderr, "error: %s\n",
-                       Spec.status().message().c_str());
-          return 1;
-        }
-        // The sweep lowers its swept parameters to per-cell externals and
-        // compiles the lowered model ONCE under the configuration the
-        // driver already resolved (so --width=auto applies to the whole
-        // population). That needs the raw ModelInfo, not the compiled
-        // model above.
-        DiagnosticEngine EnsDiags;
-        auto EnsInfo = easyml::compileModelInfo(Name, Source, EnsDiags);
-        if (!EnsInfo) {
-          std::fprintf(stderr, "%s", EnsDiags.str().c_str());
-          return 1;
-        }
-        Expected<sim::EnsembleModel> Built = sim::buildEnsembleModel(
-            *EnsInfo, std::move(*Spec), Model.config());
-        if (!Built) {
-          std::fprintf(stderr, "error: %s\n",
-                       Built.status().message().c_str());
-          return 1;
-        }
-        EMod.emplace(std::move(*Built));
-        // Native tier for the lowered kernel, keyed off the base compile
-        // key extended with the lowering (the base model's cached .so
-        // must never serve the lowered program).
-        if (Tier != exec::EngineTier::VM) {
-          uint64_t LowerKey = compiler::fnv1a64("ensemble", R.CacheKey);
-          for (const std::string &P : EMod->Swept)
-            LowerKey = compiler::fnv1a64(P, LowerKey);
-          compiler::NativeAttachResult N = compiler::getOrEmitNativeKernel(
-              *EMod->Model, LowerKey, Name + "_ensemble");
-          if (N)
-            EMod->Model->attachNative(std::move(N.Kernel));
-          else if (Tier == exec::EngineTier::Native)
-            std::fprintf(stderr,
-                         "warning: native tier unavailable for the "
-                         "ensemble kernel, running on the VM: %s\n",
-                         N.Err.message().c_str());
-        }
-        auto ER = std::make_unique<sim::EnsembleRunner>(*EMod, Opts);
+          TissueSim->enableActivationMap(-20.0);
+      }
+      if (EnsSim) {
+        if (!Built->NativeErr && Tier == exec::EngineTier::Native)
+          std::fprintf(stderr,
+                       "warning: native tier unavailable for the "
+                       "ensemble kernel, running on the VM: %s\n",
+                       Built->NativeErr.message().c_str());
         std::string SweptNames;
-        for (const std::string &P : EMod->Swept) {
+        for (const std::string &P : Built->Ensemble->Swept) {
           if (!SweptNames.empty())
             SweptNames += ",";
           SweptNames += P;
         }
         std::printf("ensemble: %lld members x %lld cells (swept: %s)\n",
-                    (long long)ER->numMembers(),
-                    (long long)ER->cellsPerMember(), SweptNames.c_str());
-        EnsSim = ER.get();
-        S = std::move(ER);
-      } else {
-        S = std::make_unique<sim::Simulator>(Model, Opts);
+                    (long long)EnsSim->numMembers(),
+                    (long long)EnsSim->cellsPerMember(), SweptNames.c_str());
       }
       if (Resume) {
         sim::CheckpointStore Store(CkptDir, int(CkptRetain));
@@ -933,14 +835,13 @@ int main(int argc, char **argv) {
       // Print the simulator's (sanitized) options, not the raw flags.
       std::printf("simulated %s (%s): %lld cells x %lld steps, t=%.2f ms\n",
                   Name.c_str(),
-                  exec::engineConfigName(Model.config()).c_str(),
+                  exec::engineConfigName(R.Model->config()).c_str(),
                   (long long)S->options().NumCells,
                   (long long)S->options().NumSteps, S->time());
-      if (Tier != exec::EngineTier::VM) {
-        const exec::CompiledModel &RunModel = EnsSim ? *EMod->Model : Model;
-        std::printf("engine tier: %s\n",
-                    RunModel.usingNativeTier() ? "native" : "vm (fallback)");
-      }
+      if (Tier != exec::EngineTier::VM)
+        std::printf("engine tier: %s\n", S->model().usingNativeTier()
+                                              ? "native"
+                                              : "vm (fallback)");
       if (S->interrupted())
         std::printf("interrupted at step %lld (%s)%s%s\n",
                     (long long)S->stepsDone(),
@@ -966,12 +867,8 @@ int main(int argc, char **argv) {
                     (long long)EnsSim->membersOk(),
                     (long long)EnsSim->membersQuarantined());
         if (!MemberStatsPath.empty()) {
-          std::ofstream Out(MemberStatsPath,
-                            std::ios::binary | std::ios::trunc);
-          std::string Ndjson = EnsSim->memberStatsNdjson();
-          Out << Ndjson;
-          Out.flush();
-          if (!Out) {
+          if (!compiler::writeFileAtomic(EnsSim->memberStatsNdjson(),
+                                         MemberStatsPath)) {
             std::fprintf(stderr, "error: cannot write member stats to %s\n",
                          MemberStatsPath.c_str());
             return 1;
@@ -982,7 +879,7 @@ int main(int argc, char **argv) {
         }
       }
       std::printf("state checksum = %.9g\n", S->stateChecksum());
-      std::printf("guard rails: %s\n", RunGuard ? "on" : "off");
+      std::printf("guard rails: %s\n", Spec.Guard ? "on" : "off");
       std::printf("%s", S->report().str().c_str());
       bool Healthy = S->scanIsHealthy();
       std::printf("population health: %s\n", Healthy ? "ok" : "FAULTY");

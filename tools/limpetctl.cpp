@@ -17,6 +17,8 @@
 
 #include "daemon/Json.h"
 #include "daemon/Protocol.h"
+#include "sim/Grid.h"
+#include "support/StringUtils.h"
 
 #include <cerrno>
 #include <chrono>
@@ -248,92 +250,73 @@ int main(int argc, char **argv) {
   int ConnectRetries = 0;
   double ConnectTimeoutSec = 0;
 
-  auto valued = [&](const std::string &Arg, int &I, const char *Flag,
-                    std::string &Out) {
-    size_t N = std::strlen(Flag);
-    if (Arg.compare(0, N, Flag) == 0 && Arg.size() > N && Arg[N] == '=') {
-      Out = Arg.substr(N + 1);
-      return true;
-    }
-    if (Arg == Flag && I + 1 < argc) {
-      Out = argv[++I];
-      return true;
-    }
-    return false;
-  };
-
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     std::string Val;
     if (Arg == "--help" || Arg == "-h") {
       printUsage();
       return 0;
-    } else if (valued(Arg, I, "--socket", Val))
+    } else if (flagValue(argc, argv, I, "--socket", Val))
       Socket = Val;
-    else if (valued(Arg, I, "--model", Val))
+    else if (flagValue(argc, argv, I, "--model", Val))
       Req.set("model", JsonValue::string(Val));
-    else if (valued(Arg, I, "--tenant", Val))
+    else if (flagValue(argc, argv, I, "--tenant", Val))
       Req.set("tenant", JsonValue::string(Val));
-    else if (valued(Arg, I, "--cells", Val))
+    else if (flagValue(argc, argv, I, "--cells", Val))
       Req.set("cells", JsonValue::number(double(std::atoll(Val.c_str()))));
-    else if (valued(Arg, I, "--steps", Val))
+    else if (flagValue(argc, argv, I, "--steps", Val))
       Req.set("steps", JsonValue::number(double(std::atoll(Val.c_str()))));
-    else if (valued(Arg, I, "--dt", Val))
+    else if (flagValue(argc, argv, I, "--dt", Val))
       Req.set("dt", JsonValue::number(std::atof(Val.c_str())));
-    else if (valued(Arg, I, "--priority", Val))
+    else if (flagValue(argc, argv, I, "--priority", Val))
       Req.set("priority", JsonValue::number(double(std::atoi(Val.c_str()))));
-    else if (valued(Arg, I, "--timeout-sec", Val))
+    else if (flagValue(argc, argv, I, "--timeout-sec", Val))
       Req.set("timeout_sec", JsonValue::number(std::atof(Val.c_str())));
-    else if (valued(Arg, I, "--checkpoint-every", Val))
+    else if (flagValue(argc, argv, I, "--checkpoint-every", Val))
       Req.set("checkpoint_every",
               JsonValue::number(double(std::atoll(Val.c_str()))));
-    else if (valued(Arg, I, "--progress-every", Val))
+    else if (flagValue(argc, argv, I, "--progress-every", Val))
       Req.set("progress_every",
               JsonValue::number(double(std::atoll(Val.c_str()))));
-    else if (valued(Arg, I, "--tissue", Val)) {
-      long long NX = 0, NY = 1;
-      char Sep = 0;
-      int N = std::sscanf(Val.c_str(), "%lld%c%lld", &NX, &Sep, &NY);
-      if (N == 1)
-        NY = 1;
-      else if (N != 3 || (Sep != 'x' && Sep != 'X')) {
-        std::fprintf(stderr,
-                     "error: bad --tissue spec '%s' (want NX or NXxNY)\n",
-                     Val.c_str());
+    else if (flagValue(argc, argv, I, "--tissue", Val)) {
+      Expected<sim::TissueGrid> G = sim::parseGridSize(Val);
+      if (!G) {
+        std::fprintf(stderr, "error: --tissue: %s\n",
+                     G.status().message().c_str());
         return 1;
       }
-      Req.set("tissue_nx", JsonValue::number(double(NX)));
-      Req.set("tissue_ny", JsonValue::number(double(NY)));
-    } else if (valued(Arg, I, "--dx", Val))
+      Req.set("tissue_nx", JsonValue::number(G->NX));
+      Req.set("tissue_ny", JsonValue::number(G->NY));
+    } else if (flagValue(argc, argv, I, "--dx", Val))
       Req.set("tissue_dx", JsonValue::number(std::atof(Val.c_str())));
-    else if (valued(Arg, I, "--sigma", Val))
+    else if (flagValue(argc, argv, I, "--sigma", Val))
       Req.set("tissue_sigma", JsonValue::number(std::atof(Val.c_str())));
-    else if (valued(Arg, I, "--diffusion", Val))
+    else if (flagValue(argc, argv, I, "--diffusion", Val))
       Req.set("tissue_method", JsonValue::string(Val));
-    else if (valued(Arg, I, "--stim", Val))
+    else if (flagValue(argc, argv, I, "--stim", Val))
       Req.set("tissue_stim", JsonValue::string(Val));
-    else if (valued(Arg, I, "--sweep", Val))
+    else if (flagValue(argc, argv, I, "--sweep", Val))
       Req.set("ensemble_sweep", JsonValue::string(Val));
-    else if (valued(Arg, I, "--member-cells", Val))
+    else if (flagValue(argc, argv, I, "--member-cells", Val))
       Req.set("ensemble_cells_per",
               JsonValue::number(double(std::atoll(Val.c_str()))));
-    else if (valued(Arg, I, "--retry", Val))
+    else if (flagValue(argc, argv, I, "--retry", Val))
       ConnectRetries = std::atoi(Val.c_str());
-    else if (valued(Arg, I, "--connect-timeout", Val))
+    else if (flagValue(argc, argv, I, "--connect-timeout", Val))
       ConnectTimeoutSec = std::atof(Val.c_str());
-    else if (valued(Arg, I, "--id", Val)) {
+    else if (flagValue(argc, argv, I, "--id", Val)) {
       WaitId = uint64_t(std::atoll(Val.c_str()));
       Req.set("id", JsonValue::number(double(WaitId)));
-    } else if (valued(Arg, I, "--preset", Val))
+    } else if (flagValue(argc, argv, I, "--preset", Val))
       Cfg.set("preset", JsonValue::string(Val));
-    else if (valued(Arg, I, "--width", Val)) {
+    else if (flagValue(argc, argv, I, "--width", Val)) {
       if (Val == "auto")
         Cfg.set("width", JsonValue::string("auto"));
       else
         Cfg.set("width", JsonValue::number(double(std::atoi(Val.c_str()))));
-    } else if (valued(Arg, I, "--layout", Val))
+    } else if (flagValue(argc, argv, I, "--layout", Val))
       Cfg.set("layout", JsonValue::string(Val));
-    else if (valued(Arg, I, "--engine", Val))
+    else if (flagValue(argc, argv, I, "--engine", Val))
       Req.set("engine", JsonValue::string(Val));
     else if (Arg == "--autotune")
       Req.set("autotune", JsonValue::boolean(true));
@@ -396,17 +379,17 @@ int main(int argc, char **argv) {
     if (Verb != "submit")
       return 0; // single-response verbs
     if (Event == "accepted") {
-      SubmittedId = uint64_t(Resp->numberOr("id", 0));
+      SubmittedId = uint64_t(Resp->intOr("id", 0));
       if (!Wait)
         return 0;
       continue;
     }
     if (isTerminalState(Event) &&
-        uint64_t(Resp->numberOr("id", 0)) == SubmittedId) {
+        uint64_t(Resp->intOr("id", 0)) == SubmittedId) {
       // Ensemble partial-result summary, human-readable next to the raw
       // NDJSON: "997/1000 ok, 3 quarantined".
-      if (const JsonValue *Ok = Resp->find("members_ok")) {
-        int64_t NOk = int64_t(Ok->asNumber());
+      if (Resp->find("members_ok")) {
+        int64_t NOk = Resp->intOr("members_ok", 0);
         int64_t NQ = Resp->intOr("members_quarantined", 0);
         std::fprintf(stderr, "members: %lld/%lld ok, %lld quarantined\n",
                      (long long)NOk, (long long)(NOk + NQ), (long long)NQ);
